@@ -24,7 +24,7 @@ from . import workloads
 from .analysis.tables import format_percent, format_table
 from .core.literace import LiteRace, run_baseline, run_marked
 from .core.samplers import SAMPLER_ORDER
-from .detector.hb import HappensBeforeDetector
+from .detector.flat import FlatDetector
 from .eventlog.events import SyncEvent
 
 
@@ -352,7 +352,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     """Offline analysis of a saved log (§4.4: profile now, triage later)."""
-    from .detector.flat import FlatDetector
     from .eventlog.encode import read_log_header
 
     with open(args.log, "rb") as handle:
@@ -629,12 +628,12 @@ def _cmd_compare(args) -> int:
         program = workloads.build(args.workload, seed=seed,
                                   scale=args.scale)
         marked = run_marked(program, samplers, seed=seed)
-        full = HappensBeforeDetector()
+        full = FlatDetector("hb")
         full.feed_all(marked.log.events)
         reference = full.report.static_races
         for name in samplers:
             bit = marked.harness.sampler_bit(name)
-            sub = HappensBeforeDetector()
+            sub = FlatDetector("hb")
             sub.feed_all(
                 e for e in marked.log.events
                 if isinstance(e, SyncEvent) or (e.mask & (1 << bit))

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..core.literace import run_marked
 from ..core.samplers import SAMPLER_ORDER
-from ..detector.hb import HappensBeforeDetector
+from ..detector.flat import FlatDetector
 from ..detector.races import RaceKey
 from ..eventlog.events import SyncEvent
 from ..runtime.cost import DEFAULT_COST_MODEL, CostModel
@@ -143,7 +143,7 @@ class DetectionStudy:
 
 
 def _detect(events) -> Set[RaceKey]:
-    detector = HappensBeforeDetector()
+    detector = FlatDetector("hb")
     detector.feed_all(events)
     return detector.report.static_races
 
@@ -168,7 +168,7 @@ def run_detection_cell(
         scheduler=RandomInterleaver(seed, switch_prob=switch_prob),
         cost_model=cost_model, seed=seed,
     )
-    full_detector = HappensBeforeDetector()
+    full_detector = FlatDetector("hb")
     full_detector.feed_all(marked.log.events)
     full_races = full_detector.report.static_races
     rare, frequent = full_detector.report.classify(

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, FrozenSet, Optional, Sequence, Tuple, Union
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..staticpass import StaticReport
 
-from ..detector.hb import HappensBeforeDetector
+from ..detector.flat import FlatDetector
 from ..detector.merge import merge_thread_logs
 from ..detector.races import RaceReport
 from ..eventlog.encode import encoded_size
@@ -187,11 +187,14 @@ class LiteRace:
     def analyze_log(self, log: EventLog) -> Tuple[RaceReport, int]:
         """Offline detection: timestamp-merge per-thread streams, then HB.
 
-        Returns the race report and the number of timestamp inconsistencies
-        the merge encountered (0 for correctly stamped logs).
+        The detector is :class:`~repro.detector.flat.FlatDetector` in its
+        ``'hb'`` mode, byte-identical to the reference
+        :class:`~repro.detector.hb.HappensBeforeDetector`.  Returns the race
+        report and the number of timestamp inconsistencies the merge
+        encountered (0 for correctly stamped logs).
         """
         merged = merge_thread_logs(log)
-        detector = HappensBeforeDetector(alloc_as_sync=self.alloc_as_sync)
+        detector = FlatDetector("hb", alloc_as_sync=self.alloc_as_sync)
         detector.feed_all(merged.events)
         return detector.report, merged.inconsistencies
 

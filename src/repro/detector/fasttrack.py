@@ -22,6 +22,12 @@ common same-epoch and ordered cases — the reason tools can afford
 happens-before precision at all, and a drop-in alternative consumer for
 LiteRace's logs (``LiteRace(...).analyze_log`` equivalent via
 :func:`fasttrack_races`).
+
+Like :mod:`repro.detector.hb`, this is the readable *specification*: the
+fast implementation is :class:`~repro.detector.flat.FlatDetector` with
+``algorithm='fasttrack'``, and this detector stays as the differential
+oracle it must match byte for byte (``tests/test_detector_differential.py``)
+and as the reference side of ``repro bench``.
 """
 
 from __future__ import annotations

@@ -20,6 +20,13 @@ events can only remove reported races, never add them.
 ``alloc_as_sync=False`` disables the §4.3 rule that treats allocation
 routines as synchronization on the containing page; the ablation experiment
 uses it to demonstrate the false races that rule prevents.
+
+This module is the *specification*, not the production path: every caller
+in the tool (offline analysis, the experiments, the CLI, the telemetry
+shards) runs :class:`~repro.detector.flat.FlatDetector` in its ``'hb'``
+mode, which must reproduce this detector's report byte for byte.  It stays
+as the differential oracle that contract is checked against
+(``tests/test_detector_differential.py``).
 """
 
 from __future__ import annotations

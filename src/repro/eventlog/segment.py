@@ -58,7 +58,6 @@ __all__ = [
     "DEFAULT_BATCH_EVENTS",
     "SegmentColumns",
     "NumpySegmentColumns",
-    "ColumnBatcher",
     "SegmentBatcher",
     "concat_columns",
     "encode_segment",
@@ -596,57 +595,18 @@ def concat_columns(parts: Sequence[SegmentColumns]) -> SegmentColumns:
     return out
 
 
-class ColumnBatcher:
-    """Accumulate decoded segments and release them in larger batches.
-
-    Wire segments are sized for streaming latency (512 events), but the
-    vectorized kernel earns its keep on batches about an order of magnitude
-    larger.  A batcher sits between decode and ``feed_batch``, coalescing
-    consecutive segments of one stream; batch-boundary invariance makes the
-    regrouping observationally free.  Callers must ``flush()`` (or use the
-    context manager) before reading the sink's report.
-    """
-
-    def __init__(self, sink, *, target_events: int = DEFAULT_BATCH_EVENTS):
-        if target_events < 1:
-            raise ValueError("target_events must be >= 1")
-        self._sink = sink
-        self._parts: List[SegmentColumns] = []
-        self._pending = 0
-        self.target_events = target_events
-
-    def push(self, cols: SegmentColumns) -> None:
-        self._parts.append(cols)
-        self._pending += cols.count
-        if self._pending >= self.target_events:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._parts:
-            batch = concat_columns(self._parts)
-            self._parts.clear()
-            self._pending = 0
-            self._sink(batch)
-
-    def __enter__(self) -> "ColumnBatcher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.flush()
-
-
 class SegmentBatcher:
     """Batch *encoded* frames and decode each batch in one vectorized pass.
 
-    :class:`ColumnBatcher` coalesces already-decoded columns, which still
-    pays the per-frame decode overhead (~50 numpy calls per frame at wire
-    sizes).  This batcher works one level lower: each ``push`` only parses
-    the 16-byte header (and inflates a compressed payload), and ``flush``
-    joins the buffered payloads — frame payloads are plain record streams,
-    so the concatenation is itself a valid payload — and decodes the whole
-    batch with one set of array operations before handing the columns to
-    the sink.  Decode errors therefore surface at flush time, attributed
-    to the batch rather than the frame.
+    Decoding frame by frame pays the per-frame decode overhead (~50 numpy
+    calls per frame at wire sizes).  This batcher works below the decoder
+    instead: each ``push`` only parses the 16-byte header (and inflates a
+    compressed payload), and ``flush`` joins the buffered payloads — frame
+    payloads are plain record streams, so the concatenation is itself a
+    valid payload — and decodes the whole batch with one set of array
+    operations before handing the columns to the sink.  Decode errors
+    therefore surface at flush time, attributed to the batch rather than
+    the frame.
 
     Falls back per-frame to the list decoder when numpy is unavailable or
     the joined batch is sync-dense (where the vectorized decode would lose

@@ -39,7 +39,7 @@ from ..analysis.tables import format_percent, format_slowdown, format_table
 from ..core.instrument import split_loops
 from ..core.literace import LiteRace, run_baseline, run_marked
 from ..core.samplers import thread_local_adaptive
-from ..detector.hb import HappensBeforeDetector
+from ..detector.flat import FlatDetector
 from ..eventlog.events import SyncEvent
 from ..runtime.scheduler import RandomInterleaver
 from ..workloads.parsec_like import build_parsec_like
@@ -162,13 +162,13 @@ def sampler_sweep(scale: float = 0.5, seeds: Iterable[int] = (1,)) -> str:
         samplers.append(sampler)
     marked = run_marked(program, samplers,
                         scheduler=RandomInterleaver(seed), seed=seed)
-    detector = HappensBeforeDetector()
+    detector = FlatDetector("hb")
     detector.feed_all(marked.log.events)
     full = detector.report.static_races
     rows = []
     for index, (label, _) in enumerate(variants):
         bit = marked.harness.sampler_bit(f"V{index}")
-        sub = HappensBeforeDetector()
+        sub = FlatDetector("hb")
         sub.feed_all(
             e for e in marked.log.events
             if isinstance(e, SyncEvent) or (e.mask & (1 << bit))
@@ -246,7 +246,7 @@ def lockset_consumer(scale: float = 0.5, seeds: Iterable[int] = (1,)) -> str:
 
     def run_detectors(events):
         events = list(events)
-        hb = HappensBeforeDetector()
+        hb = FlatDetector("hb")
         hb.feed_all(events)
         ls = LocksetDetector()
         ls.feed_all(events)

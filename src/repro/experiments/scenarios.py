@@ -28,7 +28,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from ..analysis.tables import format_percent, format_table
 from ..core.literace import run_marked
-from ..detector.hb import HappensBeforeDetector
+from ..detector.flat import FlatDetector
 from ..eventlog.events import SyncEvent
 from ..scenarios import scenario
 from .common import experiment_main, paper_note
@@ -57,7 +57,7 @@ _SAMPLERS = ("Full", "TL-Ad")
 
 def _sampler_races(marked, name: str) -> set:
     bit = marked.harness.sampler_bit(name)
-    detector = HappensBeforeDetector()
+    detector = FlatDetector("hb")
     detector.feed_all(
         event for event in marked.log.events
         if isinstance(event, SyncEvent) or (event.mask & (1 << bit)))

@@ -21,6 +21,7 @@ memory-logging cycles, plus I/O time that is unaffected by instrumentation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Generator, Optional, Sequence, Tuple
 
@@ -191,6 +192,10 @@ class Executor:
         self.heap = Heap()
         self.result = RunResult(program_name=program.name)
         self._threads: Dict[int, ThreadState] = {}
+        #: Tids of the RUNNABLE threads, ascending.  Rebuilt (never mutated)
+        #: on every status change, so the tuple a scheduler is handed is a
+        #: snapshot: a wake during its decision shows at the next step.
+        self._runnable: Tuple[int, ...] = ()
         self._next_tid = 0
         self._mutexes: Dict[int, Mutex] = {}
         self._events: Dict[int, Event] = {}
@@ -255,23 +260,38 @@ class Executor:
         thread = ThreadState(tid, func_name)
         thread.generator = self._thread_body(thread, func_name, params)
         self._threads[tid] = thread
+        # The newest tid is the largest, so appending keeps the order.
+        self._runnable += (tid,)
         self._live_threads += 1
         self.result.threads_created += 1
         return thread
 
+    def _drop_runnable(self, tid: int) -> None:
+        # Like _wake, idempotent: a tid that is not runnable stays out.
+        runnable = self._runnable
+        at = bisect_left(runnable, tid)
+        if at < len(runnable) and runnable[at] == tid:
+            self._runnable = runnable[:at] + runnable[at + 1:]
+
     def _finish_thread(self, thread: ThreadState) -> None:
         thread.status = ThreadStatus.FINISHED
+        self._drop_runnable(thread.tid)
         self._live_threads -= 1
         self._hook_sync(thread.tid, SyncKind.THREAD_EXIT, ("thread", thread.tid), -1)
         for joiner_tid in thread.joiners:
-            self._threads[joiner_tid].status = ThreadStatus.RUNNABLE
+            self._wake(joiner_tid)
         thread.joiners.clear()
 
     def _block(self, thread: ThreadState) -> None:
         thread.status = ThreadStatus.BLOCKED
+        self._drop_runnable(thread.tid)
 
     def _wake(self, tid: int) -> None:
         self._threads[tid].status = ThreadStatus.RUNNABLE
+        runnable = self._runnable
+        at = bisect_left(runnable, tid)
+        if at == len(runnable) or runnable[at] != tid:
+            self._runnable = runnable[:at] + (tid,) + runnable[at:]
 
     def wake_thread(self, tid: int) -> None:
         """Unpark a thread a gate previously parked (gate use only)."""
@@ -487,10 +507,7 @@ class Executor:
         self._spawn(self.program.entry, entry_params)
         steps = 0
         while True:
-            runnable = [
-                tid for tid, t in self._threads.items()
-                if t.status is ThreadStatus.RUNNABLE
-            ]
+            runnable = self._runnable
             if not runnable:
                 if self.gate is not None and self.gate.release_all():
                     continue  # a parked thread was the only way forward

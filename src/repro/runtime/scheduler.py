@@ -24,6 +24,14 @@ class Scheduler:
 
         ``current`` is the tid that stepped last, or None if it just blocked
         or finished (or at the very first step).
+
+        The executor passes ``runnable`` as an immutable tuple of tids in
+        ascending order, captured before the decision.  A thread woken while
+        the scheduler decides (a directed gate may call
+        :meth:`~repro.runtime.executor.Executor.wake_thread` from here)
+        appears at the next step, not in this tuple.  The executor keeps the
+        tuple up to date on every status change, so a step costs the same
+        however many threads the run has ever spawned.
         """
         raise NotImplementedError
 

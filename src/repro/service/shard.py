@@ -23,7 +23,7 @@ reassigned after a crash rebuilds cleanly from a journal replay.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from ..detector.flat import FlatDetector
 from ..detector.races import RaceReport
@@ -91,21 +91,10 @@ class ShardDetector:
         """Drain any frames still buffered by :meth:`feed_frame`."""
         self._batcher.flush()
 
-    def feed_columns(self, cols: SegmentColumns) -> None:
-        """Consume one decoded segment's columns immediately."""
-        self._batcher.flush()
-        self._consume(cols)
-        self.segments += 1
-
     def feed(self, event: Event) -> None:
         """Per-event compatibility shim over the batched path."""
         self._batcher.flush()
         self._consume(columns_from_events((event,)))
-
-    def feed_segment(self, events: Iterable[Event]) -> None:
-        self._batcher.flush()
-        self._consume(columns_from_events(list(events)))
-        self.segments += 1
 
     @property
     def report(self) -> RaceReport:
