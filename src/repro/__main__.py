@@ -386,16 +386,19 @@ def _cmd_analyze(args) -> int:
         num_threads = len(threads)
         inconsistencies = 0
     else:
-        from .detector.merge import merge_thread_logs
-        from .eventlog.encode import decode_log
+        # Per-thread logs: decode to columns, rebuild the processing order
+        # from the sync timestamps, detect in one batch — still no event
+        # objects.
+        from .detector.merge import merge_thread_columns
+        from .eventlog.encode import decode_log_columns
 
-        log = decode_log(data)
-        merged = merge_thread_logs(log)
-        detector.feed_all(merged.events)
-        sync_count = log.sync_count
-        memory_count = log.memory_count
-        num_threads = len(log.per_thread())
-        inconsistencies = merged.inconsistencies
+        cols, sections = decode_log_columns(data)
+        merged, inconsistencies = merge_thread_columns(cols, sections)
+        del cols  # the detector needs only the merged copy
+        detector.feed_batch(merged)
+        sync_count = merged.sync_count
+        memory_count = merged.memory_count
+        num_threads = len(sections)
     report = detector.report
 
     print(f"log      : {args.log} — {sync_count:,} sync events, "

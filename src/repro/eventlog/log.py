@@ -19,7 +19,7 @@ all sync events, plus exactly its memory events.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .events import Event, MemoryEvent, SyncEvent, SyncKind, SyncVar
 
@@ -48,6 +48,19 @@ class EventLog:
                       mask: int = 1) -> MemoryEvent:
         event = MemoryEvent(tid, addr, pc, is_write, mask)
         self.events.append(event)
+        self._count_memory(mask)
+        return event
+
+    def extend(self, events: Iterable[Event]) -> None:
+        """Append already-built events (a decoded stream), counting them."""
+        for event in events:
+            self.events.append(event)
+            if isinstance(event, SyncEvent):
+                self.sync_count += 1
+            else:
+                self._count_memory(event.mask)
+
+    def _count_memory(self, mask: int) -> None:
         self.memory_count += 1
         bit = 0
         remaining = mask
@@ -56,7 +69,6 @@ class EventLog:
                 self._mask_counts[bit] = self._mask_counts.get(bit, 0) + 1
             remaining >>= 1
             bit += 1
-        return event
 
     # -- views -------------------------------------------------------------
     def __len__(self) -> int:

@@ -45,6 +45,7 @@ from .encode import (
     _CODE_KINDS,
     _DOMAIN_CODES,
     _KIND_CODES,
+    _MAX_KIND_CODE,
     _PC_NONE,
     _encode_pc,
 )
@@ -220,10 +221,6 @@ def columns_from_events(events: Sequence[Event]) -> SegmentColumns:
     cols.sync_count = syncs
     cols.memory_count = n - syncs
     return cols
-
-
-#: Highest valid sync kind code on the wire (codes are 2 + SyncKind index).
-_MAX_KIND_CODE = max(_CODE_KINDS)
 
 
 def decode_segment_columns(data: bytes,

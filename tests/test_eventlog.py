@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.__main__ import main
 from repro.eventlog.encode import (
+    _HEADER,
+    _MEMORY,
+    _SECTION,
     MEMORY_EVENT_BYTES,
     SYNC_EVENT_BYTES,
     decode_log,
+    decode_log_columns,
     encode_log,
     encoded_size,
 )
@@ -133,6 +138,106 @@ class TestEncoding:
             log.append_sync(0, kind, (domain, index), index, index)
         decoded = decode_log(encode_log(log))
         assert [e.kind for e in decoded.events] == list(domains)
+
+
+def _raw_v1(*sections):
+    """A v1 file from ``(tid, [record bytes, ...])`` sections, as given."""
+    parts = [_HEADER.pack(b"LTRC", 1, len(sections))]
+    for tid, records in sections:
+        parts.append(_SECTION.pack(tid, len(records)))
+        parts.extend(records)
+    return b"".join(parts)
+
+
+#: Offset of sample_log's first record, thread 0's THREAD_START sync event.
+FIRST_RECORD = _HEADER.size + _SECTION.size
+
+
+def _corrupt(case):
+    data = bytearray(encode_log(sample_log()))
+    if case == "truncated header":
+        return bytes(data[:_HEADER.size - 3])
+    if case == "truncated section header":
+        # The header claims one more section than the file holds.
+        data[6] += 1
+        return bytes(data)
+    if case == "truncated record":
+        return bytes(data[:-1])
+    if case in ("first section too long", "last section too long"):
+        # A section claims one more record than it holds: the first one
+        # then misreads its neighbour's header as a record.
+        at = _HEADER.size
+        if case == "last section too long":
+            at += _SECTION.size + SYNC_EVENT_BYTES + MEMORY_EVENT_BYTES
+        tid, count = _SECTION.unpack_from(data, at)
+        data[at:at + _SECTION.size] = _SECTION.pack(tid, count + 1)
+        return bytes(data)
+    if case == "bad kind code":
+        data[FIRST_RECORD] = 127
+        return bytes(data)
+    if case == "bad domain code":
+        data[FIRST_RECORD + 1] = 9
+        return bytes(data)
+    if case == "trailing bytes":
+        return bytes(data) + b"\x00"
+    if case == "duplicate tid":
+        record = _MEMORY.pack(1, 0x1000, 5)
+        return _raw_v1((3, [record]), (3, [record]))
+    raise AssertionError(case)
+
+
+#: case -> the reason the decoder must name.
+CORRUPT_V1 = {
+    "truncated header": "truncated log header",
+    "truncated section header": "truncated section header",
+    "truncated record": "truncated record in the section of thread 1",
+    "first section too long": "truncated record",
+    "last section too long": "truncated record in the section of thread 1",
+    "bad kind code": "bad sync kind code 127",
+    "bad domain code": "bad sync-var domain code 9",
+    "trailing bytes": "trailing bytes after last section",
+    "duplicate tid": "second section for thread 3",
+}
+
+
+class TestCorruptV1:
+    """A damaged per-thread log fails with a ValueError that names the
+    damage, both through ``decode_log`` and through ``repro analyze``."""
+
+    @pytest.mark.parametrize("case", list(CORRUPT_V1))
+    def test_decode_log_names_the_problem(self, case):
+        with pytest.raises(ValueError, match=CORRUPT_V1[case]):
+            decode_log(_corrupt(case))
+
+    @pytest.mark.parametrize("case", list(CORRUPT_V1))
+    def test_analyze_names_the_problem(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.ltrc"
+        path.write_bytes(_corrupt(case))
+        with pytest.raises(ValueError, match=CORRUPT_V1[case]):
+            main(["analyze", str(path)])
+        assert capsys.readouterr().out == ""
+
+    def test_empty_sections_are_accepted_and_are_not_threads(self, tmp_path,
+                                                             capsys):
+        record = _MEMORY.pack(1, 0x1000, 5)
+        data = _raw_v1((0, [record]), (4, []), (9, [record, record]))
+        log = decode_log(data)
+        assert sorted(log.per_thread()) == [0, 9]
+        cols, sections = decode_log_columns(data)
+        assert sections == [(0, 0, 1), (9, 1, 3)]
+        path = tmp_path / "empty.ltrc"
+        path.write_bytes(data)
+        assert main(["analyze", str(path)]) == 0
+        assert "3 memory events, 2 threads" in capsys.readouterr().out
+
+    def test_sections_come_back_sorted_by_tid(self):
+        record = _MEMORY.pack(0, 0x2000, 7)
+        cols, sections = decode_log_columns(
+            _raw_v1((5, [record, record]), (2, [record])))
+        assert sections == [(2, 2, 3), (5, 0, 2)]
+        assert cols.tids == [5, 5, 2]
+        assert [e.tid for e in decode_log(
+            _raw_v1((5, [record, record]), (2, [record]))).events] == [2, 5, 5]
 
 
 class TestStore:
