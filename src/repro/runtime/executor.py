@@ -17,13 +17,43 @@ of the paper's Figure 6.
 Cost accounting is decomposed exactly as in Figure 6: baseline application
 cycles, dispatch-check cycles, synchronization-logging cycles, and sampled-
 memory-logging cycles, plus I/O time that is unaffected by instrumentation.
+
+Each thread is a stack of block cursors (:class:`~repro.runtime.
+thread_state.Cursor`), one per active function body and running loop, and
+every block is decoded once per executor into ``(handler, instruction)``
+pairs.  ``_step`` runs one scheduling step of one thread.  Which work lands
+in which step is part of the determinism contract (schedulers count steps,
+and hooks are observed in step order), so it is fixed:
+
+* A thread's first step emits its THREAD_START event; its second enters
+  its entry function.
+* A step that finds a *pending continuation* runs it and ends: the rest of
+  a Lock, Wait or Join that blocked (its cycle charge and sync event, once
+  woken), the gate's next decision on a parked Read or Write (the access
+  happens in the step the gate lets it through), or the entry call.
+* Otherwise the step first closes the blocks whose last instruction ran in
+  an earlier step: a function body returns (``Harness.exit_function``), a
+  loop takes its back edge (``advance_loop``, a ``loop_iter`` charge and
+  the next iteration) or ends (``pop_loop``).  It then runs the next
+  instruction.  Every instruction ends the step except ``Loop``, which
+  charges its first ``loop_iter`` and goes on into its body (or, with a
+  trip count of zero or less, past itself).  ``Call`` ends the step once
+  the callee is entered (dispatch check, new frame, ``call`` charge).
+* When the stack is empty (the entry function has returned), the step
+  finishes the thread: THREAD_EXIT, then its joiners wake.  Like every
+  return, this lands in a later step than the instruction that ended the
+  function's last step.
+
+``tests/test_executor_differential.py`` holds this contract to the
+generator-per-thread interpreter the cursor stack replaced.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Generator, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..eventlog.events import SyncKind
 from ..layout import is_stack_addr
@@ -33,8 +63,8 @@ from ..tir.program import Program
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .memory import Heap
 from .scheduler import RandomInterleaver, Scheduler
-from .sync import Event, Mutex
-from .thread_state import Frame, ThreadState, ThreadStatus
+from .sync import Event, Mutex, SyncError
+from .thread_state import Cursor, Frame, ThreadState, ThreadStatus
 
 __all__ = ["Executor", "Harness", "AccessGate", "RunResult", "DeadlockError",
            "ExecutionLimitError"]
@@ -89,9 +119,11 @@ class Harness:
     def exit_function(self, tid: int) -> None:
         """Called when the function whose entry was last reported returns.
 
-        Entries and exits are properly nested per thread; harnesses that
-        track per-activation state (the §5.3 marked harness) maintain a
-        stack keyed by tid.
+        The return is not part of the function's last instruction: it runs
+        at the start of the thread's next step, before anything else that
+        step does.  Entries and exits are properly nested per thread;
+        harnesses that track per-activation state (the §5.3 marked harness)
+        maintain a stack keyed by tid.
         """
 
     def memory_event(self, tid: int, addr: int, pc: int, is_write: bool) -> int:
@@ -201,6 +233,11 @@ class Executor:
         self._events: Dict[int, Event] = {}
         self._live_threads = 0
         self._current: Optional[int] = None
+        #: Blocks decoded once per executor into (handler, instr) pairs:
+        #: function bodies with their slot counts by name, loop bodies by
+        #: their Loop instruction.
+        self._bodies: Dict[str, Tuple[tuple, int]] = {}
+        self._loop_bodies: Dict[ops.Loop, tuple] = {}
 
     # ------------------------------------------------------------------
     # Cost accounting
@@ -258,7 +295,7 @@ class Executor:
         tid = self._next_tid
         self._next_tid += 1
         thread = ThreadState(tid, func_name)
-        thread.generator = self._thread_body(thread, func_name, params)
+        thread.pending = partial(self._start_thread, thread, func_name, params)
         self._threads[tid] = thread
         # The newest tid is the largest, so appending keeps the order.
         self._runnable += (tid,)
@@ -298,85 +335,129 @@ class Executor:
         self._wake(tid)
 
     # ------------------------------------------------------------------
-    # Interpreter (generator per thread; one yield per instruction)
+    # Interpreter (a cursor stack per thread; see the module docstring)
     # ------------------------------------------------------------------
-    def _thread_body(self, thread: ThreadState, func_name: str,
-                     params: Tuple[int, ...]) -> Generator[None, None, None]:
+    @staticmethod
+    def _decode(block: Sequence[ops.Instr]) -> Tuple[tuple, ...]:
+        """``block`` as ``(handler, instruction)`` pairs."""
+        # Plain functions, not bound methods: an executor that referred to
+        # itself would outlive its run until the cycle collector ran, and
+        # with it the harness and its whole event log.
+        unhandled = Executor._do_unhandled
+        return tuple((_HANDLERS.get(type(instr), unhandled), instr)
+                     for instr in block)
+
+    def _step(self, thread: ThreadState) -> bool:
+        """Run one step of ``thread``; True when it has nothing left to run.
+
+        A step first finishes whatever the thread's previous step left
+        open: a pending continuation, or the returns and loop back edges
+        after a block's last instruction.  It then runs instructions until
+        one ends the step; only an entered loop does not.
+        """
+        pending = thread.pending
+        if pending is not None:
+            thread.pending = None
+            pending()
+            return False
+        cursors = thread.cursors
+        while cursors:
+            cursor = cursors[-1]
+            index = cursor.index
+            pairs = cursor.pairs
+            if index < len(pairs):
+                cursor.index = index + 1
+                handler, instr = pairs[index]
+                if handler(self, thread, cursor.frame, instr,
+                           cursor.instrumented):
+                    return False
+            elif cursor.left is None:
+                cursors.pop()
+                if self.harness is not None:
+                    self.harness.exit_function(thread.tid)
+            else:
+                cursor.frame.advance_loop()
+                if cursor.left:
+                    cursor.left -= 1
+                    cursor.index = 0
+                    self._charge(self.cost.loop_iter)
+                else:
+                    cursor.frame.pop_loop()
+                    cursors.pop()
+        return True
+
+    def _start_thread(self, thread: ThreadState, func_name: str,
+                      params: Tuple[int, ...]) -> None:
         self._hook_sync(thread.tid, SyncKind.THREAD_START,
                         ("thread", thread.tid), -1)
-        yield
-        yield from self._exec_function(thread, func_name, params)
+        thread.pending = partial(self._enter_function, thread, func_name,
+                                 params)
 
-    def _exec_function(self, thread: ThreadState, func_name: str,
-                       params: Tuple[int, ...]) -> Generator[None, None, None]:
-        func = self.program.function(func_name)
+    def _enter_function(self, thread: ThreadState, func_name: str,
+                        params: Tuple[int, ...]) -> None:
+        body = self._bodies.get(func_name)
+        if body is None:
+            func = self.program.function(func_name)
+            body = self._bodies[func_name] = (self._decode(func.body),
+                                              func.num_slots)
+        pairs, num_slots = body
         instrumented = self._hook_entry(thread.tid, func_name)
-        frame = Frame(thread, func_name, params, func.num_slots)
+        frame = Frame(thread, func_name, params, num_slots)
         self._charge(self.cost.call)
-        yield
-        yield from self._exec_block(thread, frame, func.body, instrumented)
-        if self.harness is not None:
-            self.harness.exit_function(thread.tid)
+        thread.cursors.append(Cursor(pairs, frame, instrumented))
 
-    def _exec_block(self, thread: ThreadState, frame: Frame,
-                    block: Sequence[ops.Instr],
-                    instrumented: bool) -> Generator[None, None, None]:
-        for instr in block:
-            thread.instructions_retired += 1
-            handler = _HANDLERS.get(type(instr))
-            if handler is None:
-                raise TypeError(f"unhandled instruction {instr!r}")
-            yield from handler(self, thread, frame, instr, instrumented)
+    # -- instruction handlers (True: the step ends here) -------------------
+    def _do_unhandled(self, thread, frame, instr, instrumented):
+        raise TypeError(f"unhandled instruction {instr!r}")
 
-    # -- instruction handlers (each yields >= 1 time) ---------------------
-    def _do_read(self, thread, frame, instr: ops.Read, instrumented):
-        addr = resolve_addr(instr.addr, frame)
-        if self.gate is not None:
-            yield from self._gate_wait(thread, instr.pc, addr, False)
-        self._account_memory(thread, addr, instr.pc, False, instrumented)
-        yield
-
-    def _do_write(self, thread, frame, instr: ops.Write, instrumented):
-        addr = resolve_addr(instr.addr, frame)
-        if self.gate is not None:
-            yield from self._gate_wait(thread, instr.pc, addr, True)
-        self._account_memory(thread, addr, instr.pc, True, instrumented)
-        yield
-
-    def _gate_wait(self, thread: ThreadState, pc: int, addr: int,
-                   is_write: bool) -> Generator[None, None, None]:
-        # Each parked yield is a step with no effect and no events; the gate
-        # (via wake_thread) decides when the access may finally proceed.
-        while self.gate.on_access(thread.tid, pc, addr, is_write):
+    def _do_access(self, thread, frame, instr, instrumented):
+        # Read and Write: most of all steps, hence the inlined accounting.
+        addr = instr.addr
+        if not isinstance(addr, int):
+            addr = addr.resolve(frame)
+        if self.gate is not None and self.gate.on_access(
+                thread.tid, instr.pc, addr, instr.is_write):
+            # Parked: the step has no effect and no events.  The thread's
+            # next step runs the whole access again, so the gate decides
+            # anew (the address cannot change while the thread is parked).
             self._block(thread)
-            yield
-
-    def _account_memory(self, thread: ThreadState, addr: int, pc: int,
-                        is_write: bool, instrumented: bool) -> None:
-        self.result.memory_ops += 1
+            thread.pending = partial(self._do_access, thread, frame, instr,
+                                     instrumented)
+            return True
+        result = self.result
+        result.memory_ops += 1
         if not is_stack_addr(addr):
-            self.result.nonstack_memory_ops += 1
-        self._charge(self.cost.memory_op)
-        if instrumented and self.harness is not None:
-            if pc in self.pruned_pcs:
-                self.result.pruned_memory_ops += 1
+            result.nonstack_memory_ops += 1
+        cycles = self.cost.memory_op
+        result.baseline_cycles += cycles
+        result.clock += cycles
+        if instrumented:
+            if instr.pc in self.pruned_pcs:
+                result.pruned_memory_ops += 1
             else:
-                self._hook_memory(thread.tid, addr, pc, is_write)
+                self._hook_memory(thread.tid, addr, instr.pc, instr.is_write)
+        return True
 
     def _do_compute(self, thread, frame, instr: ops.Compute, instrumented):
         self._charge(self.cost.compute_unit * instr.n)
-        yield
+        return True
 
     def _do_io(self, thread, frame, instr: ops.Io, instrumented):
         self._charge_io(resolve_addr(instr.duration, frame))
-        yield
+        return True
 
     def _do_lock(self, thread, frame, instr: ops.Lock, instrumented):
         addr = resolve_addr(instr.var, frame)
         mutex = self._mutexes.setdefault(addr, Mutex())
-        if not mutex.acquire(thread.tid):
+        if mutex.acquire(thread.tid):
+            self._locked(thread, instr, addr)
+        else:
+            # Parked until release() hands us ownership.
             self._block(thread)
-            yield  # parked until release() hands us ownership
+            thread.pending = partial(self._locked, thread, instr, addr)
+        return True
+
+    def _locked(self, thread: ThreadState, instr: ops.Lock, addr: int) -> None:
         if instr.via_cas:
             # A user-level CAS lock: the profiler sees a raw atomic op.
             self._charge(self.cost.atomic_rmw)
@@ -388,14 +469,11 @@ class Executor:
             # has a smaller timestamp.
             self._hook_sync(thread.tid, SyncKind.LOCK, ("mutex", addr),
                             instr.pc)
-        yield
 
     def _do_unlock(self, thread, frame, instr: ops.Unlock, instrumented):
         addr = resolve_addr(instr.var, frame)
         mutex = self._mutexes.get(addr)
         if mutex is None:
-            from .sync import SyncError
-
             raise SyncError(f"unlock of never-locked mutex {addr:#x}")
         if instr.via_cas:
             self._charge(self.cost.atomic_rmw)
@@ -409,18 +487,23 @@ class Executor:
         woken = mutex.release(thread.tid)
         if woken is not None:
             self._wake(woken)
-        yield
+        return True
 
     def _do_wait(self, thread, frame, instr: ops.Wait, instrumented):
         addr = resolve_addr(instr.var, frame)
         event = self._events.setdefault(addr, Event())
-        if not event.wait(thread.tid, instr.consume):
+        if event.wait(thread.tid, instr.consume):
+            self._waited(thread, instr, addr)
+        else:
+            # Parked until notify().
             self._block(thread)
-            yield  # parked until notify()
+            thread.pending = partial(self._waited, thread, instr, addr)
+        return True
+
+    def _waited(self, thread: ThreadState, instr: ops.Wait, addr: int) -> None:
         self._charge(self.cost.sync_op)
         # Timestamp after the wait completes (§4.2).
         self._hook_sync(thread.tid, SyncKind.WAIT, ("event", addr), instr.pc)
-        yield
 
     def _do_notify(self, thread, frame, instr: ops.Notify, instrumented):
         addr = resolve_addr(instr.var, frame)
@@ -430,7 +513,7 @@ class Executor:
         self._hook_sync(thread.tid, SyncKind.NOTIFY, ("event", addr), instr.pc)
         for tid in event.notify():
             self._wake(tid)
-        yield
+        return True
 
     def _do_fork(self, thread, frame, instr: ops.Fork, instrumented):
         params = tuple(resolve_addr(arg, frame) for arg in instr.args)
@@ -441,25 +524,31 @@ class Executor:
         self._hook_sync(thread.tid, SyncKind.FORK, ("thread", child.tid), instr.pc)
         if instr.tid_slot is not None:
             frame.slots[instr.tid_slot] = child.tid
-        yield
+        return True
 
     def _do_join(self, thread, frame, instr: ops.Join, instrumented):
         target_tid = frame.slots[instr.tid_slot]
         target = self._threads[target_tid]
-        if not target.finished:
+        if target.finished:
+            self._joined(thread, instr, target_tid)
+        else:
+            # Parked until the target finishes.
             target.joiners.append(thread.tid)
             self._block(thread)
-            yield  # parked until the target finishes
+            thread.pending = partial(self._joined, thread, instr, target_tid)
+        return True
+
+    def _joined(self, thread: ThreadState, instr: ops.Join,
+                target_tid: int) -> None:
         self._charge(self.cost.join)
         # Timestamp after the join completes (§4.2).
         self._hook_sync(thread.tid, SyncKind.JOIN, ("thread", target_tid), instr.pc)
-        yield
 
     def _do_atomic(self, thread, frame, instr: ops.AtomicRMW, instrumented):
         addr = resolve_addr(instr.addr, frame)
         self._charge(self.cost.atomic_rmw)
         self._hook_sync(thread.tid, SyncKind.ATOMIC, ("atomic", addr), instr.pc)
-        yield
+        return True
 
     def _do_alloc(self, thread, frame, instr: ops.Alloc, instrumented):
         base = self.heap.alloc(instr.size)
@@ -468,7 +557,7 @@ class Executor:
         for page in self.heap.pages_of_block(base, instr.size):
             self._hook_sync(thread.tid, SyncKind.ALLOC_PAGE, ("page", page),
                             instr.pc)
-        yield
+        return True
 
     def _do_free(self, thread, frame, instr: ops.Free, instrumented):
         base = frame.slots[instr.slot]
@@ -478,26 +567,27 @@ class Executor:
             self._hook_sync(thread.tid, SyncKind.FREE_PAGE, ("page", page),
                             instr.pc)
         self.heap.free(base)
-        yield
+        return True
 
     def _do_call(self, thread, frame, instr: ops.Call, instrumented):
         params = tuple(resolve_addr(arg, frame) for arg in instr.args)
-        yield from self._exec_function(thread, instr.func, params)
+        self._enter_function(thread, instr.func, params)
+        return True
 
     def _do_loop(self, thread, frame, instr: ops.Loop, instrumented):
         count = resolve_addr(instr.count, frame)
         if count:
             iterations = self.result.loop_iterations
             iterations[instr.pc] = iterations.get(instr.pc, 0) + count
-        frame.push_loop()
-        try:
-            for _ in range(count):
-                self._charge(self.cost.loop_iter)
-                yield from self._exec_block(thread, frame, instr.body,
-                                            instrumented)
-                frame.advance_loop()
-        finally:
-            frame.pop_loop()
+        if count > 0:
+            body = self._loop_bodies.get(instr)
+            if body is None:
+                body = self._loop_bodies[instr] = self._decode(instr.body)
+            frame.push_loop()
+            self._charge(self.cost.loop_iter)
+            thread.cursors.append(Cursor(body, frame, instrumented, count - 1))
+        # The step goes on into the body, or past a loop that never ran.
+        return False
 
     # ------------------------------------------------------------------
     # Main loop
@@ -523,9 +613,7 @@ class Executor:
             tid = self.scheduler.next_thread(self._current, runnable)
             thread = self._threads[tid]
             self._current = tid
-            try:
-                next(thread.generator)
-            except StopIteration:
+            if self._step(thread):
                 self._finish_thread(thread)
                 self._current = None
             steps += 1
@@ -538,8 +626,8 @@ class Executor:
 
 
 _HANDLERS = {
-    ops.Read: Executor._do_read,
-    ops.Write: Executor._do_write,
+    ops.Read: Executor._do_access,
+    ops.Write: Executor._do_access,
     ops.Compute: Executor._do_compute,
     ops.Io: Executor._do_io,
     ops.Lock: Executor._do_lock,

@@ -69,7 +69,10 @@ class Heap:
 
     def block_size(self, base: int) -> int:
         """Rounded size of the live block at ``base``."""
-        return self._live[base]
+        rounded = self._live.get(base)
+        if rounded is None:
+            raise HeapError(f"address {base:#x} is not a live block")
+        return rounded
 
     def pages_of_block(self, base: int, size: int) -> Tuple[int, ...]:
         """Page numbers overlapped by a block of ``size`` bytes at ``base``."""

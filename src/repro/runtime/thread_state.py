@@ -1,13 +1,13 @@
-"""Per-thread interpreter state: threads, frames, and loop stacks."""
+"""Per-thread interpreter state: threads, frames, cursors and loop stacks."""
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..layout import tls_base_for
 
-__all__ = ["ThreadStatus", "ThreadState", "Frame"]
+__all__ = ["ThreadStatus", "ThreadState", "Frame", "Cursor"]
 
 
 class ThreadStatus(enum.Enum):
@@ -19,35 +19,34 @@ class ThreadStatus(enum.Enum):
 
 
 class ThreadState:
-    """One simulated thread: identity, TLS base, status and its interpreter.
+    """One simulated thread: identity, TLS base, status and where it stands.
 
-    ``generator`` is the interpreter coroutine created by the executor; it
-    yields one effect per instruction and is resumed with the effect's
-    result.  ``resume_value`` holds the value to send on the next resume
-    (set when a blocking operation completes).
+    ``cursors`` is the thread's stack of executing blocks, innermost last:
+    one :class:`Cursor` per active function body and per running loop.
+    ``pending`` is the rest of an instruction that could not finish in its
+    own step (a blocked Lock, Wait or Join, a gate-parked access, or the
+    thread's start-up); the executor runs it as the thread's next step.
     """
 
     __slots__ = (
         "tid",
         "tls_base",
         "status",
-        "generator",
-        "resume_value",
+        "cursors",
+        "pending",
         "joiners",
         "entry_function",
-        "instructions_retired",
     )
 
     def __init__(self, tid: int, entry_function: str):
         self.tid = tid
         self.tls_base = tls_base_for(tid)
         self.status = ThreadStatus.RUNNABLE
-        self.generator: Optional[Generator] = None
-        self.resume_value: Any = None
+        self.cursors: List[Cursor] = []
+        self.pending: Optional[Callable[[], None]] = None
         #: tids blocked in ``Join`` waiting for this thread to finish.
         self.joiners: List[int] = []
         self.entry_function = entry_function
-        self.instructions_retired = 0
 
     @property
     def finished(self) -> bool:
@@ -92,3 +91,24 @@ class Frame:
     @property
     def loop_depth(self) -> int:
         return len(self._loop_indices)
+
+
+class Cursor:
+    """A thread's position in one executing block.
+
+    ``pairs`` is the block decoded as ``(handler, instruction)`` pairs and
+    ``index`` the next one to run.  ``frame`` and ``instrumented`` belong
+    to the enclosing function activation.  ``left`` counts the loop
+    iterations still to start after the current one; it is ``None`` for a
+    function body, whose end is a return rather than a back edge.
+    """
+
+    __slots__ = ("pairs", "index", "frame", "instrumented", "left")
+
+    def __init__(self, pairs: tuple, frame: Frame, instrumented: bool,
+                 left: Optional[int] = None):
+        self.pairs = pairs
+        self.index = 0
+        self.frame = frame
+        self.instrumented = instrumented
+        self.left = left

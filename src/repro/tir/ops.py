@@ -21,7 +21,7 @@ any :class:`~repro.tir.addr.AddrExpr`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import ClassVar, Optional, Tuple, Union
 
 from .addr import AddrExpr, AddrLike
 
@@ -65,6 +65,7 @@ class Read(Instr):
     """Load from ``addr``.  A candidate for data-race detection."""
 
     addr: AddrLike
+    is_write: ClassVar[bool] = False
 
 
 @dataclass(eq=False)
@@ -72,6 +73,7 @@ class Write(Instr):
     """Store to ``addr``.  A candidate for data-race detection."""
 
     addr: AddrLike
+    is_write: ClassVar[bool] = True
 
 
 @dataclass(eq=False)

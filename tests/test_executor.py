@@ -1,10 +1,14 @@
 """Tests for the TIR interpreter: semantics, blocking, accounting."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.eventlog.events import SyncKind
 from repro.layout import HEAP_BASE, tls_base_for
 from repro.runtime.cost import CostModel
+from repro.runtime.memory import HeapError
 from repro.runtime.executor import (
     DeadlockError,
     ExecutionLimitError,
@@ -300,6 +304,25 @@ class TestEventsAndHeap:
         heap_writes = [a for (_, a, _, w) in seen.memory if w]
         assert heap_writes == [HEAP_BASE]
 
+    @pytest.mark.parametrize("double", [True, False])
+    def test_free_of_dead_block_raises_heap_error(self, double):
+        # A double free, or a free of a slot no Alloc ever filled (which
+        # still holds 0), must fail as a heap error before any page event.
+        seen = RecordingHarness()
+
+        def build(b):
+            with b.function("main", slots=1) as f:
+                if double:
+                    f.alloc(64, 0)
+                    f.free(0)
+                f.free(0)
+
+        bad = HEAP_BASE if double else 0
+        with pytest.raises(HeapError, match=f"{bad:#x} .*not a live block"):
+            run_program(build, harness=seen)
+        frees = [k for (_, k, _) in seen.sync if k is SyncKind.FREE_PAGE]
+        assert len(frees) == (1 if double else 0)
+
     def test_thread_lifecycle_sync_events(self):
         seen = RecordingHarness()
 
@@ -370,6 +393,35 @@ class TestHarnessIntegration:
         assert bare.slowdown == 1.0
         assert instrumented.slowdown > 1.0
         assert instrumented.baseline_cycles == bare.baseline_cycles
+
+
+class TestLifetime:
+    def test_finished_executor_is_freed_by_reference_counting(self):
+        # The harness (and with it the whole event log) lives as long as
+        # its executor; a reference cycle through the executor would keep
+        # both until the cycle collector happened to run.
+        def build(b):
+            with b.function("child", slots=1) as f:
+                f.lock(b.global_addr("m"))
+                with f.loop(3):
+                    f.write(b.global_addr("x"))
+                f.unlock(b.global_addr("m"))
+            with b.function("main", slots=2) as f:
+                f.fork("child", tid_slot=0)
+                f.fork("child", tid_slot=1)
+                f.join(0)
+                f.join(1)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            executor, _ = run_program(build, harness=RecordingHarness())
+            alive = weakref.ref(executor)
+            del executor
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDeterminism:

@@ -10,6 +10,14 @@ scheduler decisions, the encoded log in both wire formats, every
 report.  A mismatch means an interleaving (or what was logged or detected
 on it) changed; if that change is intended, say so and recompute the
 table with ``python tests/test_interleaving_golden.py``.
+
+``ProfilingHarness`` never overrides ``Harness.exit_function``, so those
+digests cannot see when the executor reports a return.  The §5.3 marked
+run can: :class:`~repro.core.harness.MarkedHarness` pops its per-thread
+mask stack there, and a return reported one instruction late puts the
+wrong sampler mask on the next memory event.  ``MARKED_GOLDEN`` pins
+``run_marked`` over every sampler of the paper's figures on the same
+executions, event by event with masks, plus every ``RunResult`` field.
 """
 
 from __future__ import annotations
@@ -22,8 +30,10 @@ from array import array
 import pytest
 
 from repro import workloads
-from repro.core.literace import LiteRace
+from repro.core.literace import LiteRace, run_marked
+from repro.core.samplers import SAMPLER_ORDER
 from repro.eventlog.encode import encode_log
+from repro.eventlog.events import SyncEvent
 from repro.runtime.scheduler import RandomInterleaver, RoundRobinScheduler
 from repro.validate.trace import RecordingScheduler
 
@@ -71,6 +81,25 @@ GOLDEN = {
         "664d46be8d055092d64a7b15c62912563ec3dcc97c54b76fc452bec8c6887937",
 }
 
+MARKED_GOLDEN = {
+    "apache-1/random":
+        "73e9a8499f0dc88436d099a2b70e282ae3abe9e05a37f1963ead3ec66a31d55d",
+    "apache-1/round-robin":
+        "6241bfb91c079c6e42c40c66accbf4af72061f4d0da446d36d749924b8ddaf83",
+    "concrt-scheduling/random":
+        "8a99c90e5ca8b00b3603bf8095de034f2b4d31c04eade2c1923abec881149e82",
+    "concrt-scheduling/round-robin":
+        "569e1b89b0963c299296de70c4211406a9670429269aa70a29f164e314632bda",
+    "lkrhash/random":
+        "da72b42e23add6bdc699bb2e41a2371a4bf4ccc2f93418af348cb68db6b26d02",
+    "lkrhash/round-robin":
+        "84b2dacf13383375d32d533dbbaea8926dfbbcbb20b66620ad787404d5f58959",
+    "kv-store/random":
+        "6d5a628e96794bbff55d1539e939ba23ad7c1edc155873e56d420f1361ea1ca4",
+    "kv-store/round-robin":
+        "5a4a4eaab424c63922fcff9c78c18f25f600e7417343b981afc33b00d47f94d0",
+}
+
 
 def _report_rows(report) -> list:
     return [
@@ -81,13 +110,25 @@ def _report_rows(report) -> list:
     ]
 
 
+def _counters(run) -> dict:
+    counters = dataclasses.asdict(run)
+    counters["loop_iterations"] = sorted(counters["loop_iterations"].items())
+    return counters
+
+
+def _event_rows(log) -> list:
+    return [("sync", e.tid, e.kind.value, e.var, e.timestamp, e.pc)
+            if isinstance(e, SyncEvent) else
+            ("memory", e.tid, e.addr, e.pc, e.is_write, e.mask)
+            for e in log.events]
+
+
 def digest(workload: str, sampler: str, policy: str) -> str:
     """sha256 of one profiled-and-analyzed execution."""
     program = workloads.build(workload, seed=SEED, scale=SCALE)
     recorder = RecordingScheduler(POLICIES[policy]())
     result = LiteRace(sampler=sampler, seed=SEED).run(program, recorder)
-    counters = dataclasses.asdict(result.run)
-    counters["loop_iterations"] = sorted(counters["loop_iterations"].items())
+    counters = _counters(result.run)
     h = hashlib.sha256()
     h.update(array("I", recorder.decisions).tobytes())
     # Both formats by number, so a new encode_log default moves nothing;
@@ -100,8 +141,21 @@ def digest(workload: str, sampler: str, policy: str) -> str:
     return h.hexdigest()
 
 
+def marked_digest(workload: str, policy: str) -> str:
+    """sha256 of one §5.3 marked execution: decisions, masked log, counters."""
+    program = workloads.build(workload, seed=SEED, scale=SCALE)
+    recorder = RecordingScheduler(POLICIES[policy]())
+    marked = run_marked(program, SAMPLER_ORDER, recorder, seed=SEED)
+    h = hashlib.sha256()
+    h.update(array("I", recorder.decisions).tobytes())
+    h.update(json.dumps([_event_rows(marked.log), _counters(marked.run)],
+                        sort_keys=True).encode("utf-8"))
+    return h.hexdigest()
+
+
 CASES = [f"{w}/{s}/{p}" for w in WORKLOADS for s in SAMPLERS
          for p in POLICIES]
+MARKED_CASES = [f"{w}/{p}" for w in WORKLOADS for p in POLICIES]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -109,6 +163,16 @@ def test_execution_matches_golden_digest(case):
     assert digest(*case.split("/")) == GOLDEN[case]
 
 
-if __name__ == "__main__":  # pragma: no cover - regenerates the table
+@pytest.mark.parametrize("case", MARKED_CASES)
+def test_marked_execution_matches_golden_digest(case):
+    assert marked_digest(*case.split("/")) == MARKED_GOLDEN[case]
+
+
+if __name__ == "__main__":  # pragma: no cover - regenerates the tables
+    print("GOLDEN = {")
     for case in CASES:
         print(f'    "{case}":\n        "{digest(*case.split("/"))}",')
+    print("}\n\nMARKED_GOLDEN = {")
+    for case in MARKED_CASES:
+        print(f'    "{case}":\n        "{marked_digest(*case.split("/"))}",')
+    print("}")

@@ -65,6 +65,13 @@ class TestFreeAndReuse:
         heap.free(a)
         assert heap.live_blocks == {b}
 
+    def test_block_size_of_dead_block_rejected(self):
+        heap = Heap()
+        base = heap.alloc(16)
+        heap.free(base)
+        with pytest.raises(HeapError, match=f"{base:#x}"):
+            heap.block_size(base)
+
     def test_block_size_is_rounded(self):
         heap = Heap()
         a = heap.alloc(20)

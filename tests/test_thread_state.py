@@ -13,6 +13,8 @@ class TestThreadState:
         assert thread.tls_base == tls_base_for(3)
         assert not thread.finished
         assert thread.joiners == []
+        assert thread.cursors == []
+        assert thread.pending is None
 
     def test_finished_property(self):
         thread = ThreadState(0, "main")
