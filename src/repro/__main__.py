@@ -826,9 +826,14 @@ def main(argv=None) -> int:
                          help="listen on this TCP endpoint")
     serve_p.add_argument("--workers", type=int, default=2,
                          help="detector worker processes (default 2)")
-    serve_p.add_argument("--shards", type=int, default=None,
-                         help="address-range shards (default: one per "
-                              "worker)")
+    serve_p.add_argument("--shards", type=int, default=1,
+                         help="address-range shards per client (default "
+                              "1: one worker analyzes each log and workers "
+                              "run clients in parallel; N > 1 splits a "
+                              "log's addresses over workers, cutting one "
+                              "large log's latency, but each shard "
+                              "decodes every frame and replays every "
+                              "sync event)")
     serve_p.add_argument("--queue-depth", type=int, default=64,
                          help="bounded ingest queue length — the "
                               "backpressure knob (default 64)")

@@ -11,7 +11,9 @@ Each trace request is one complete submission on its own connection
 (hello, segments, END, close).  That is not an optimization shortcut but
 a correctness requirement: a log's event stream contains fork edges and
 monotone timestamps, so splicing two copies into one log would hand the
-server a stream that no real execution could produce.  Bursts from
+server a stream that no real execution could produce.  It is also what
+the server parallelizes: each submission is analyzed by one worker, so
+concurrent clients keep all workers busy.  Bursts from
 :mod:`repro.scenarios.traffic` pick which template a session replays, so
 a trace with mixed ops produces a mixed template population.
 """
@@ -100,7 +102,7 @@ class LoadGenerator:
         A template is the merged, segment-encoded event stream of one
         full-logging run at ``template_scale``; trimming keeps a prefix,
         which is still a valid happens-before processing order (the
-        server shards consume segments in order).
+        server's detectors consume segments in order).
         """
         if self._templates:
             return self

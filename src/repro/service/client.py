@@ -5,12 +5,13 @@ Two producers exist, matching the two halves of the deployment story:
 * :class:`TelemetryClient` — ``repro submit``: load a saved ``.ltrc`` log,
   reconstruct its processing order from the logical timestamps (the same
   :func:`~repro.detector.merge.merge_thread_logs` the offline detector
-  uses — the server's shard detectors consume segments *in order*, so the
-  order must be a valid happens-before processing order before it goes on
-  the wire), chop it into segments, and stream them with per-segment ACKs.
-  The final END frame blocks until the server has finished analyzing every
-  shard, so a returned :class:`SubmitResult` means the submission is fully
-  folded into the fleet report.
+  uses — the worker analyzing the log consumes segments *in order*, so
+  the order must be a valid happens-before processing order before it
+  goes on the wire), chop it into segments, and stream them with
+  per-segment ACKs.  The final END frame blocks until the server has
+  finished analyzing the log (every shard of it, when the server splits
+  logs by address), so a returned :class:`SubmitResult` means the
+  submission is fully folded into the fleet report.
 
 * :class:`TelemetrySink` — a harness event sink (`ProfilingHarness(sink=…)`)
   that streams segments *while the profiled run executes*.  Live events

@@ -8,28 +8,35 @@ the whole fleet by PC pair.
 Data flow::
 
     clients ──frames──▶ connection threads ──▶ bounded ingest queue
-        ──▶ dispatcher ──▶ per-worker mp queues ──▶ detector workers
+        ──▶ dispatcher ──▶ owning worker's mp queue ──▶ detector workers
         ──▶ result queue ──▶ collector ──▶ aggregator (dedup + persist)
 
 * **Backpressure**: the ingest queue is bounded; a SEGMENT frame is only
   ACKed once its payload clears the queue, so a flooded server slows its
   clients instead of growing without bound.
-* **Sharding**: ``num_shards`` logical shards partition the address space
-  (:func:`repro.service.shard.shard_of`); each worker process owns a set of
-  shards.  Every worker receives every segment once, tagged with the shards
-  it owns — sync events feed *all* of them (complete happens-before per
-  shard, §4.2), memory events only their own shard.
+* **Assignment**: ``num_shards`` logical shards partition each client's
+  address space (:func:`repro.service.shard.shard_of`).  At HELLO every
+  (client, shard) pair goes to the worker with the fewest pending pairs
+  (lowest index on ties) and stays there; the client's segments and its
+  finalize go only to the workers that own its shards.  Each owner feeds
+  its shards the client's whole sync stream (complete happens-before per
+  shard, §4.2) and only their own memory events.  The default is one
+  shard, so a log is decoded and detected once, by one worker, and the
+  workers run different clients in parallel; more shards split one
+  client's addresses across workers, at the price of each shard
+  decoding every frame and replaying every sync event.
 * **Crash tolerance**: the dispatcher journals every segment before
-  routing it.  A supervisor watches the workers; when one dies its shards
-  are reassigned to survivors (or a fresh replacement) and the journal is
-  replayed for exactly the (client, shard) states that were lost — the
-  in-flight segment is requeued along the way.  A torn client connection
-  discards only that client's pending state; the server never corrupts.
+  routing it.  A supervisor watches the workers; when one dies exactly
+  its pending (client, shard) pairs move to the least-loaded survivors
+  (or a fresh replacement) and those clients' journals are replayed for
+  the moved pairs only.  A torn client connection discards only that
+  client's pending state; the server never corrupts.
 * **Aggregation**: per-(client, shard) reports are merged in deterministic
-  order, deduplicated by PC pair, optionally filtered through a
-  :class:`~repro.core.suppressions.SuppressionList`, and served over the
-  STATUS/REPORT endpoints.  With a ``state_dir`` the merged report is
-  persisted after every completed client and reloaded on restart.
+  (client id, shard id) order, deduplicated by PC pair, optionally
+  filtered through a :class:`~repro.core.suppressions.SuppressionList`,
+  and served over the STATUS/REPORT endpoints.  With a ``state_dir`` the
+  merged report is persisted after every completed client and reloaded on
+  restart.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ import queue
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.suppressions import SuppressionList
 from ..detector.races import RaceReport
@@ -81,13 +89,23 @@ _SNAPSHOT_FILE = "report.json"
 
 
 class _Worker:
-    """One detector process plus its private input queue."""
+    """One detector process, its private input queue, and what it owes."""
 
-    __slots__ = ("process", "in_queue")
+    __slots__ = ("worker_id", "process", "in_queue", "pending", "in_flight")
 
-    def __init__(self, process, in_queue):
+    def __init__(self, worker_id: int, process, in_queue):
+        #: unique per process, so a dead worker's late acks are told apart
+        #: from those of a replacement spawned at the same index
+        self.worker_id = worker_id
         self.process = process
         self.in_queue = in_queue
+        #: (client_id, shard_id) pairs owned here whose report has not
+        #: arrived: the load that assignment balances
+        self.pending: Set[Tuple[int, int]] = set()
+        #: shard ids of each segment sent here and not yet acked, in send
+        #: order; the worker answers every segment with one ack or error,
+        #: in the same order
+        self.in_flight: Deque[Tuple[int, ...]] = deque()
 
     @property
     def alive(self) -> bool:
@@ -98,7 +116,7 @@ class _ClientState:
     """Everything the server tracks about one submitting client."""
 
     __slots__ = ("client_id", "name", "journal", "enqueued", "ended",
-                 "aborted", "shard_reports", "report", "completed")
+                 "aborted", "owners", "shard_reports", "report", "completed")
 
     def __init__(self, client_id: int, name: str):
         self.client_id = client_id
@@ -108,13 +126,16 @@ class _ClientState:
         self.enqueued = 0
         self.ended = False
         self.aborted = False
+        #: worker index owning each shard of this client, by shard id
+        self.owners: List[int] = []
         self.shard_reports: Dict[int, RaceReport] = {}
         self.report: Optional[RaceReport] = None
         self.completed = threading.Event()
 
 
 class TelemetryServer:
-    """Sharded streaming race detection over fleet-submitted event logs."""
+    """Streaming race detection over fleet-submitted event logs, each
+    (client, shard) pair analyzed by one worker process."""
 
     def __init__(
         self,
@@ -133,7 +154,7 @@ class TelemetryServer:
             raise ValueError("at least one listen address is required")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.num_shards = shards if shards is not None else workers
+        self.num_shards = shards if shards is not None else 1
         if self.num_shards < 1:
             raise ValueError("shards must be >= 1")
         self._address_specs = list(addresses)
@@ -150,7 +171,9 @@ class TelemetryServer:
         self._next_client_id = 1
         self._ingest: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self._workers: List[_Worker] = []
-        self._shard_owner: List[int] = []
+        #: live workers by worker id; acks from any other id are ignored
+        self._worker_by_id: Dict[int, _Worker] = {}
+        self._next_worker_id = 0
         self._result_queue = _MP.Queue()
         self._threads: List[threading.Thread] = []
         self._listeners: List[socket.socket] = []
@@ -179,8 +202,6 @@ class TelemetryServer:
         #: CONFIRMED > INFEASIBLE > UNCONFIRMED precedence so a weaker
         #: verdict from one submitter never downgrades a proof from another.
         self._verdicts: Dict[tuple, str] = {}
-        self._dispatched: Dict[int, int] = {s: 0 for s in range(self.num_shards)}
-        self._acked: Dict[int, int] = {s: 0 for s in range(self.num_shards)}
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -193,8 +214,6 @@ class TelemetryServer:
         # children never inherit a mid-operation lock.
         for index in range(self._num_workers):
             self._workers.append(self._spawn_worker(index))
-        self._shard_owner = [s % self._num_workers
-                            for s in range(self.num_shards)]
         for spec in self._address_specs:
             listener = bind_listener(spec)
             self._listeners.append(listener)
@@ -278,23 +297,45 @@ class TelemetryServer:
 
     # -- workers -----------------------------------------------------------
     def _spawn_worker(self, index: int) -> _Worker:
+        worker_id = self._next_worker_id
+        self._next_worker_id += 1
         in_queue = _MP.Queue()
         process = _MP.Process(
             target=worker_main,
-            args=(index, in_queue, self._result_queue, self.num_shards,
+            args=(worker_id, in_queue, self._result_queue, self.num_shards,
                   self._alloc_as_sync),
             daemon=True,
             name=f"repro-detector-{index}",
         )
         process.start()
-        return _Worker(process, in_queue)
-
-    def _shards_of_worker(self, index: int) -> tuple:
-        return tuple(s for s in range(self.num_shards)
-                     if self._shard_owner[s] == index)
+        worker = _Worker(worker_id, process, in_queue)
+        self._worker_by_id[worker_id] = worker
+        return worker
 
     def _live_worker_indices(self) -> List[int]:
         return [i for i, w in enumerate(self._workers) if w.alive]
+
+    def _assign(self, client_id: int, shard_id: int,
+                candidates: List[int]) -> int:
+        """Give one (client, shard) pair to the candidate worker with the
+        fewest pending pairs, lowest index on ties (held _mu)."""
+        index = min(candidates, key=lambda i: len(self._workers[i].pending))
+        self._workers[index].pending.add((client_id, shard_id))
+        return index
+
+    @staticmethod
+    def _routes(state: _ClientState) -> Dict[int, Tuple[int, ...]]:
+        """Worker index → the client's shards it owns, in shard order."""
+        routes: Dict[int, Tuple[int, ...]] = {}
+        for shard_id, index in enumerate(state.owners):
+            routes[index] = routes.get(index, ()) + (shard_id,)
+        return routes
+
+    def _send_segment(self, index: int, client_id: int, seq: int,
+                      shard_ids: Tuple[int, ...], payload: bytes) -> None:
+        worker = self._workers[index]
+        worker.in_queue.put(("segment", client_id, seq, shard_ids, payload))
+        worker.in_flight.append(shard_ids)
 
     # -- service threads ---------------------------------------------------
     def _start_thread(self, target, *args, name: str) -> None:
@@ -344,31 +385,26 @@ class TelemetryServer:
             return
         assert seq == len(state.journal), "segments out of order"
         state.journal.append(payload)
-        for index in self._live_worker_indices():
-            shard_ids = self._shards_of_worker(index)
-            if not shard_ids:
-                continue
-            self._workers[index].in_queue.put(
-                ("segment", client_id, seq, shard_ids, payload))
-            for shard_id in shard_ids:
-                self._dispatched[shard_id] += 1
+        # An owner that died unnoticed still gets the segment: the
+        # supervisor replays the journal to whoever takes its pairs over.
+        for index, shard_ids in self._routes(state).items():
+            self._send_segment(index, client_id, seq, shard_ids, payload)
 
     def _route_end(self, client_id: int) -> None:
         state = self._clients.get(client_id)
         if state is None or state.aborted:
             return
         state.ended = True
-        for index in self._live_worker_indices():
-            shard_ids = self._shards_of_worker(index)
-            if shard_ids:
-                self._workers[index].in_queue.put(
-                    ("finalize", client_id, shard_ids))
+        for index, shard_ids in self._routes(state).items():
+            self._workers[index].in_queue.put(
+                ("finalize", client_id, shard_ids))
 
     def _route_discard(self, client_id: int) -> None:
         state = self._clients.get(client_id)
-        if state is not None:
-            state.journal.clear()
-        for index in self._live_worker_indices():
+        if state is None:
+            return
+        state.journal.clear()
+        for index in self._routes(state):
             self._workers[index].in_queue.put(("discard", client_id))
 
     def _collect_loop(self) -> None:
@@ -384,15 +420,25 @@ class TelemetryServer:
             with self._mu:
                 verb = message[0]
                 if verb == "ack":
-                    _, _, _, _, shard_ids, event_count = message
-                    for shard_id in shard_ids:
-                        self._acked[shard_id] += 1
-                    self._counters["events_analyzed"] += event_count
+                    if self._segment_answered(message[1]):
+                        self._counters["events_analyzed"] += message[5]
                 elif verb == "report":
                     _, _, client_id, shard_id, wire, _ = message
                     self._on_shard_report(client_id, shard_id, wire)
                 elif verb == "error":
                     self._counters["segment_errors"] += 1
+                    if message[3] >= 0:  # seq -1: a finalize-time error
+                        self._segment_answered(message[1])
+
+    def _segment_answered(self, worker_id: int) -> bool:
+        """Retire the oldest segment in flight to ``worker_id``; False for
+        a dead worker, whose backlog was written off when it died (held
+        _mu)."""
+        worker = self._worker_by_id.get(worker_id)
+        if worker is None or not worker.in_flight:
+            return False
+        worker.in_flight.popleft()
+        return True
 
     def _on_shard_report(self, client_id: int, shard_id: int,
                          wire: Dict[str, Any]) -> None:
@@ -402,6 +448,10 @@ class TelemetryServer:
         if shard_id in state.shard_reports:
             return  # duplicate from a pre-crash worker's last gasp
         state.shard_reports[shard_id] = report_from_wire(wire)
+        # The pair is done whichever worker reported it: a dead owner's
+        # report can land after its pair moved to a survivor.
+        self._workers[state.owners[shard_id]].pending.discard(
+            (client_id, shard_id))
         if state.ended and len(state.shard_reports) == self.num_shards:
             merged = RaceReport()
             for sid in sorted(state.shard_reports):
@@ -434,40 +484,44 @@ class TelemetryServer:
                         self._on_worker_death(index)
 
     def _on_worker_death(self, index: int) -> None:
-        """Reassign a dead worker's shards and replay the journal (held _mu)."""
+        """Move a dead worker's pending pairs to the least-loaded survivors
+        and replay those clients' journals to them (held _mu)."""
         self._counters["worker_failures"] += 1
-        worker = self._workers[index]
-        worker.process.join(timeout=1.0)
-        worker.process = None
-        lost = self._shards_of_worker(index)
+        dead = self._workers[index]
+        dead.process.join(timeout=1.0)
+        dead.process = None
+        # Its un-acked segments will never be acked: write them off.
+        del self._worker_by_id[dead.worker_id]
+        dead.in_flight.clear()
+        # Nothing reads its queue any more, and the journal replays what it
+        # held; a feeder thread blocked on the full pipe must not hold up
+        # this process's exit.
+        dead.in_queue.cancel_join_thread()
+        # Pending pairs are exactly those whose report has not arrived and
+        # whose client is neither completed nor aborted.
+        lost = sorted(dead.pending)
+        dead.pending.clear()
         survivors = self._live_worker_indices()
         if not survivors:
             # Last worker standing died: spawn a replacement with a fresh
             # queue (the old queue's in-flight items are covered by replay).
             self._workers[index] = self._spawn_worker(index)
             survivors = [index]
-        for position, shard_id in enumerate(lost):
-            self._shard_owner[shard_id] = survivors[position % len(survivors)]
-        # Replay per new owner, skipping (client, shard) states whose report
-        # already arrived before the crash.
-        for owner in set(self._shard_owner[s] for s in lost):
-            owned_lost = tuple(s for s in lost
-                               if self._shard_owner[s] == owner)
-            in_queue = self._workers[owner].in_queue
-            for client_id in sorted(self._clients):
-                state = self._clients[client_id]
-                if state.aborted or state.completed.is_set():
-                    continue
-                needed = tuple(s for s in owned_lost
-                               if s not in state.shard_reports)
-                if not needed:
-                    continue
+        moved: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        for client_id, shard_id in lost:
+            owner = self._assign(client_id, shard_id, survivors)
+            self._clients[client_id].owners[shard_id] = owner
+            by_owner = moved.setdefault(client_id, {})
+            by_owner[owner] = by_owner.get(owner, ()) + (shard_id,)
+        for client_id, by_owner in moved.items():
+            state = self._clients[client_id]
+            for owner, shard_ids in by_owner.items():
                 for seq, payload in enumerate(state.journal):
-                    in_queue.put(("segment", client_id, seq, needed, payload))
-                    for shard_id in needed:
-                        self._dispatched[shard_id] += 1
+                    self._send_segment(owner, client_id, seq, shard_ids,
+                                       payload)
                 if state.ended:
-                    in_queue.put(("finalize", client_id, needed))
+                    self._workers[owner].in_queue.put(
+                        ("finalize", client_id, shard_ids))
 
     # -- connections -------------------------------------------------------
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -505,8 +559,7 @@ class TelemetryServer:
                 if mid_stream and not self._stopping:
                     # The log will never complete; drop its partial state so
                     # it cannot skew the fleet report.
-                    state.aborted = True
-                    self._counters["clients_aborted"] += 1
+                    self._abort(state)
             if state is not None and state.aborted:
                 self._ingest.put(("discard", client_id))
             try:
@@ -524,8 +577,16 @@ class TelemetryServer:
             with self._mu:
                 new_id = self._next_client_id
                 self._next_client_id += 1
-                self._clients[new_id] = _ClientState(
+                state = _ClientState(
                     new_id, str(body.get("name", f"client-{new_id}")))
+                self._clients[new_id] = state
+                # With no worker alive, one not yet known dead takes the
+                # pairs; the supervisor moves them on when it notices.
+                candidates = self._live_worker_indices() or [
+                    i for i, w in enumerate(self._workers)
+                    if w.process is not None]
+                state.owners = [self._assign(new_id, shard_id, candidates)
+                                for shard_id in range(self.num_shards)]
                 self._counters["clients_total"] += 1
             send_json(conn, T_OK, {"client_id": new_id})
             return new_id, False
@@ -585,8 +646,7 @@ class TelemetryServer:
                         # clients_pending forever, its journal is replayed
                         # on every worker death, and END can never be
                         # retried (a second END fails validation).
-                        state.aborted = True
-                        self._counters["clients_aborted"] += 1
+                        self._abort(state)
                 if timed_out:
                     self._ingest.put(("discard", client_id))
                     send_json(conn, T_ERR, {"error": "finalize timed out"})
@@ -646,6 +706,13 @@ class TelemetryServer:
         self._protocol_error(conn, f"unknown frame type {frame_type}")
         return client_id, False
 
+    def _abort(self, state: _ClientState) -> None:
+        """Give up on a client that will never complete (held _mu)."""
+        state.aborted = True
+        self._counters["clients_aborted"] += 1
+        for shard_id, index in enumerate(state.owners):
+            self._workers[index].pending.discard((state.client_id, shard_id))
+
     def _decode_body(self, conn: socket.socket,
                      payload: bytes) -> Optional[Dict[str, Any]]:
         """Decode a frame's JSON object body, or ERR the peer and return
@@ -683,8 +750,11 @@ class TelemetryServer:
             uptime = max(time.monotonic() - self._start_time, 1e-9)
             merged = self._merged_report()
             counters = dict(self._counters)
-            lag = {str(s): self._dispatched[s] - self._acked[s]
-                   for s in range(self.num_shards)}
+            lag = [0] * self.num_shards
+            for worker in self._workers:
+                for shard_ids in worker.in_flight:
+                    for shard_id in shard_ids:
+                        lag[shard_id] += 1
             pending = sum(
                 1 for c in self._clients.values()
                 if not c.aborted and not c.completed.is_set())
@@ -696,7 +766,7 @@ class TelemetryServer:
                 "queue_capacity": self._queue_depth,
                 "num_shards": self.num_shards,
                 "workers_alive": len(self._live_worker_indices()),
-                "shard_lag": lag,
+                "shard_lag": {str(s): n for s, n in enumerate(lag)},
                 "clients_pending": pending,
                 "races_found": merged.num_static,
                 "verdicts_known": len(self._verdicts),

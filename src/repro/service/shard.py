@@ -1,12 +1,16 @@
 """Address-range sharding and the detector worker process.
 
 A fleet of clients produces far more events than one interpreter can
-analyze, so the server fans segments out to a pool of worker *processes*.
-The partitioning is by **address range**: addresses are grouped into
-64-byte blocks and blocks are assigned round-robin to ``num_shards``
-logical shards (:func:`shard_of`).  Shards are logical — each worker owns a
-*set* of shards, so when a worker dies its shards migrate to survivors and
-the shard count (and therefore the routing) never changes.
+analyze, so the server spreads the work over a pool of worker *processes*.
+The unit of work is a (client, shard) pair, and the server sends a
+client's segments only to the workers that own its pairs.  By default a
+client has one shard: one worker analyzes its whole log, and the workers
+run different clients in parallel.  With more shards a client's addresses
+are partitioned by **address range**: addresses are grouped into 64-byte
+blocks and blocks are assigned round-robin to ``num_shards`` logical
+shards (:func:`shard_of`).  Shards are logical — when a worker dies its
+pairs migrate to survivors and the shard count (and therefore the
+address routing) never changes.
 
 The invariant that makes sharding exact (§4.2): every shard consumes the
 client's **complete synchronization stream**, so every shard computes the
@@ -14,10 +18,12 @@ same vector clocks as a single detector would; memory events touch only
 per-address state, so restricting a shard to its own addresses partitions
 the race instances without altering any of them.  The union of shard
 reports is therefore byte-for-byte the single-detector report's race set
-and occurrence counts — no false positives, no lost races.
+and occurrence counts — no false positives, no lost races.  The price is
+that each of a client's shards decodes every frame and replays every sync
+event, which is why one shard is the default.
 
 :func:`worker_main` is the process entry point.  It keeps one incremental
-:class:`ShardDetector` per (client, shard) pair, created lazily, so a shard
+:class:`ShardDetector` per (client, shard) pair, created lazily, so a pair
 reassigned after a crash rebuilds cleanly from a journal replay.
 """
 

@@ -4,7 +4,9 @@ The acceptance bar is *end-to-end parity*: N concurrent clients submitting
 segmented logs must yield a deduped race report equal — same race set, same
 occurrence counts, deterministic ordering — to running the offline
 `HappensBeforeDetector` on the same logs in one process, across multiple
-shard counts.  On top of that: bounded-queue backpressure, worker-crash
+shard counts; with the default single shard, the whole report (examples and
+addresses too) is the offline `FlatDetector`'s.  On top of that: the
+client-to-worker assignment, bounded-queue backpressure, worker-crash
 journal replay, torn-connection isolation, rolling-state persistence, and
 the live harness sink.
 """
@@ -12,15 +14,20 @@ the live harness sink.
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import tempfile
+import textwrap
 import threading
 import time
 
 import pytest
 
 from repro.core.literace import LiteRace
+from repro.detector.flat import FlatDetector
 from repro.detector.hb import HappensBeforeDetector, detect_races
 from repro.detector.merge import merge_thread_logs
 from repro.detector.races import RaceInstance, RaceReport
@@ -47,6 +54,10 @@ from repro.workloads.synthetic import random_program, two_thread_racer
 
 # -- helpers ---------------------------------------------------------------
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
 def short_socket_path() -> str:
     """A Unix socket path safely inside AF_UNIX's ~108-char limit."""
     return os.path.join(tempfile.mkdtemp(prefix="reprosvc-", dir="/tmp"),
@@ -62,6 +73,17 @@ def offline_reference(*logs: EventLog) -> RaceReport:
         detector.feed_all(merge_thread_logs(log).events)
         merged.merge(detector.report)
     return merged
+
+
+def offline_wire(*logs: EventLog) -> dict:
+    """The REPORT body's ``report`` a single-shard server must serve for
+    these logs submitted as clients 1, 2, ...: the offline FlatDetector's
+    report of each log's stream, merged in client-id order."""
+    merged = RaceReport()
+    for log in logs:
+        detector = FlatDetector("hb").feed_all(merge_thread_logs(log).events)
+        merged.merge(detector.report)
+    return report_to_wire(merged)
 
 
 def wire_occurrences(report_body) -> dict:
@@ -119,6 +141,12 @@ class TestFleetParity:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_concurrent_clients_match_offline_detector(self, fleet_logs,
                                                        shards):
+        """Occurrence counts match the offline detector at every shard
+        count.  With one shard each log is analyzed whole by one worker,
+        so the whole REPORT body, examples and addresses included, is the
+        offline FlatDetector's.  With more shards a client's report merges
+        its shard reports in shard order, so a race seen on several
+        shards may keep another shard's example."""
         log_a, log_b = fleet_logs
         reference = offline_reference(log_a, log_b)
         address = f"unix:{short_socket_path()}"
@@ -128,8 +156,9 @@ class TestFleetParity:
 
             def submit(log, name):
                 with TelemetryClient(address) as client:
-                    results.append(client.submit_log(
-                        log, name=name, segment_events=64, compress=True))
+                    result = client.submit_log(
+                        log, name=name, segment_events=64, compress=True)
+                    results.append((result.client_id, log, result))
 
             threads = [threading.Thread(target=submit, args=(log, name))
                        for log, name in ((log_a, "a"), (log_b, "b"))]
@@ -143,11 +172,16 @@ class TestFleetParity:
                 status = client.status()
 
         assert len(results) == 2
-        assert all(r.merge_inconsistencies == 0 for r in results)
+        assert all(r.merge_inconsistencies == 0 for _, _, r in results)
         assert wire_occurrences(body) == reference.occurrences
         assert status["clients_completed"] == 2
         assert status["races_found"] == reference.num_static
         assert all(lag == 0 for lag in status["shard_lag"].values())
+        if shards == 1:
+            in_id_order = [log for _, log, _ in sorted(results,
+                                                       key=lambda r: r[0])]
+            assert body["report"] == offline_wire(*in_id_order)
+            assert body["num_dynamic"] == reference.num_dynamic
 
     def test_report_ordering_is_deterministic_across_shard_counts(
             self, fleet_logs):
@@ -179,6 +213,173 @@ class TestFleetParity:
         assert result.races == offline_reference(log_a).num_static
 
 
+# -- client-to-worker assignment -------------------------------------------
+
+def pending_pairs(server) -> list:
+    """Per worker, how many (client, shard) pairs await their report."""
+    with server._mu:
+        return [len(worker.pending) for worker in server._workers]
+
+
+def wait_for(predicate, what: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.02)
+
+
+class TestRouting:
+    def test_clients_go_to_the_least_loaded_worker(self, fleet_logs):
+        log_a, log_b = fleet_logs
+        address = f"unix:{short_socket_path()}"
+        with TelemetryServer([address], workers=2) as server:
+            first = TelemetryClient(address).connect()
+            second = TelemetryClient(address).connect()
+            first_id = first.hello("first")
+            second_id = second.hello("second")
+            # Two clients open at once land on different workers, each
+            # owning the client's one shard.
+            assert server._clients[first_id].owners == [0]
+            assert server._clients[second_id].owners == [1]
+            assert pending_pairs(server) == [1, 1]
+            second.submit_log(log_b, segment_events=64)
+            second.close()
+            assert pending_pairs(server) == [1, 0]
+            # The third goes to the worker that is now less loaded, not
+            # to the lowest index.
+            with TelemetryClient(address) as third:
+                third_id = third.hello("third")
+                assert server._clients[third_id].owners == [1]
+                assert pending_pairs(server) == [1, 1]
+                result = third.submit_log(log_a, segment_events=8)
+            first.submit_log(log_a, segment_events=8)
+            first.close()
+            assert pending_pairs(server) == [0, 0]
+        assert result.races == offline_reference(log_a).num_static
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_pending_pairs_return_to_zero(self, fleet_logs, monkeypatch,
+                                          shards):
+        """After a completed client, a client torn mid-stream, and a
+        client whose END timed out, no worker counts a pending pair."""
+        log_a, _ = fleet_logs
+        ordered = EventLog()
+        ordered.events = merge_thread_logs(log_a).events
+        frame = split_log(ordered, segment_events=64)[0]
+        address = f"unix:{short_socket_path()}"
+        server = TelemetryServer([address], workers=2, shards=shards,
+                                 finalize_timeout=0.3)
+        with server:
+            with TelemetryClient(address) as client:
+                client.submit_log(log_a, segment_events=8)
+            assert pending_pairs(server) == [0, 0]
+
+            torn = TelemetryClient(address).connect()
+            torn.hello("torn")
+            torn.send_segment(frame)
+            assert sum(pending_pairs(server)) == server.num_shards
+            torn.close()
+            wait_for(lambda: server.status()["clients_aborted"] == 1,
+                     "the torn client to be aborted")
+            assert pending_pairs(server) == [0, 0]
+
+            # Swallow the finalize so END times out.
+            monkeypatch.setattr(server, "_route_end", lambda client_id: None)
+            with TelemetryClient(address) as stuck:
+                stuck.hello("stuck")
+                stuck.send_segment(frame)
+                with pytest.raises(ProtocolError, match="timed out"):
+                    stuck.end_log(1)
+            assert pending_pairs(server) == [0, 0]
+            status = server.status()
+        assert status["clients_aborted"] == 2
+        assert status["clients_pending"] == 0
+
+
+    def test_hello_with_no_worker_alive_is_reassigned(self, fleet_logs,
+                                                      monkeypatch):
+        """A client that says HELLO after the last worker died, before the
+        supervisor noticed, is owned by the dead worker until the
+        supervisor moves its pair to the replacement."""
+        log_a, _ = fleet_logs
+        address = f"unix:{short_socket_path()}"
+        server = TelemetryServer([address], workers=1)
+        noticed = threading.Event()
+        supervise = server._supervise_loop
+
+        def held_supervisor():
+            noticed.wait(timeout=10)
+            supervise()
+
+        monkeypatch.setattr(server, "_supervise_loop", held_supervisor)
+        with server:
+            dead = server._workers[0]
+            dead.process.kill()
+            dead.process.join(timeout=10)
+            assert not dead.alive
+            client = TelemetryClient(address).connect()
+            client_id = client.hello("orphan")
+            assert server._clients[client_id].owners == [0]
+            assert dead.pending == {(client_id, 0)}
+            noticed.set()
+            result = client.submit_log(log_a, segment_events=8)
+            status = client.status()
+            client.close()
+            replacement = server._workers[0]
+        assert replacement is not dead
+        assert status["worker_failures"] == 1
+        assert result.races == offline_reference(log_a).num_static
+
+    def test_concurrent_clients_under_stress_with_a_worker_death(
+            self, fleet_logs):
+        """More workers than cores, a short switch interval, clients
+        racing on every connection and a worker killed mid-run: a lost
+        update to the pending pairs or the in-flight segments would leave
+        a pair counted, lag behind, or a client unfinished."""
+        log_a, log_b = fleet_logs
+        logs = [log_a, log_b] * 4
+        address = f"unix:{short_socket_path()}"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with TelemetryServer([address], workers=3,
+                                 queue_depth=4) as server:
+                results = {}
+
+                def submit(index):
+                    with TelemetryClient(address) as client:
+                        results[index] = client.submit_log(
+                            logs[index], segment_events=16)
+
+                threads = [threading.Thread(target=submit, args=(i,))
+                           for i in range(len(logs))]
+                for thread in threads:
+                    thread.start()
+                wait_for(lambda: server.status()["clients_total"] >= 3,
+                         "clients to say HELLO")
+                server._workers[1].process.kill()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                wait_for(lambda: all(
+                    lag == 0 for lag in server.status()["shard_lag"].values()),
+                    "every segment to be acked")
+                with TelemetryClient(address) as client:
+                    body = client.report()
+                    status = client.status()
+                pending = pending_pairs(server)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(logs)
+        assert status["worker_failures"] == 1
+        assert status["clients_completed"] == len(logs)
+        assert status["clients_pending"] == 0
+        assert pending == [0, 0, 0]
+        in_id_order = [logs[i] for i in sorted(
+            results, key=lambda i: results[i].client_id)]
+        assert body["report"] == offline_wire(*in_id_order)
+
+
 # -- robustness ------------------------------------------------------------
 
 class TestRobustness:
@@ -195,40 +396,141 @@ class TestRobustness:
         assert result.races == offline_reference(log_b).num_static
 
     def test_worker_crash_mid_stream_replays_journal(self, fleet_logs):
+        """Killing the worker that owns the client mid-stream moves its
+        pairs to the survivor, which replays the journal.  With one shard
+        (the default) the whole REPORT body is still the offline one."""
         _, log_b = fleet_logs
         reference = offline_reference(log_b)
-        address = f"unix:{short_socket_path()}"
-        with TelemetryServer([address], workers=2, shards=4,
-                             queue_depth=8) as server:
-            ordered = EventLog()
-            ordered.events = merge_thread_logs(log_b).events
-            frames = split_log(ordered, segment_events=32)
-            client = TelemetryClient(address).connect()
-            client.hello("crashy")
-            half = len(frames) // 2
-            for frame in frames[:half]:
-                client.send_segment(frame)
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
+        ordered = EventLog()
+        ordered.events = merge_thread_logs(log_b).events
+        frames = split_log(ordered, segment_events=32)
+        half = len(frames) // 2
+        for shards in (1, 4):
+            address = f"unix:{short_socket_path()}"
+            with TelemetryServer([address], workers=2, shards=shards,
+                                 queue_depth=8) as server:
+                client = TelemetryClient(address).connect()
+                client_id = client.hello("crashy")
+                state = server._clients[client_id]
+                # Kill the worker that owns shard 0: killing a worker that
+                # owns none of the client's shards would replay nothing.
+                victim = state.owners[0]
+                for frame in frames[:half]:
+                    client.send_segment(frame)
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    status = client.status()
+                    if all(lag == 0 for lag in status["shard_lag"].values()):
+                        break
+                    time.sleep(0.05)
+                server._workers[victim].process.terminate()
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    if client.status()["worker_failures"]:
+                        break
+                    time.sleep(0.05)
+                for frame in frames[half:]:
+                    client.send_segment(frame)
+                ack = client.end_log(len(frames))
+                body = client.report()
                 status = client.status()
-                if all(lag == 0 for lag in status["shard_lag"].values()):
-                    break
-                time.sleep(0.05)
-            server._workers[0].process.terminate()
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                if client.status()["worker_failures"]:
-                    break
-                time.sleep(0.05)
-            for frame in frames[half:]:
+                client.close()
+            assert status["worker_failures"] == 1
+            assert victim not in state.owners
+            assert ack["races"] == reference.num_static
+            assert wire_occurrences(body) == reference.occurrences
+            if shards == 1:
+                assert body["report"] == offline_wire(log_b)
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_shard_lag_recovers_after_worker_dies_with_backlog(
+            self, fleet_logs, shards):
+        """A worker killed while holding un-acked segments must not leave
+        them in ``shard_lag``: its backlog is written off at death and
+        replayed, and counted, on the worker that takes its pairs."""
+        _, log_b = fleet_logs
+        reference = offline_reference(log_b)
+        ordered = EventLog()
+        ordered.events = merge_thread_logs(log_b).events
+        frames = split_log(ordered, segment_events=18)
+        assert len(frames) == 20
+        address = f"unix:{short_socket_path()}"
+        with TelemetryServer([address], workers=2, shards=shards,
+                             queue_depth=8) as server:
+            client = TelemetryClient(address).connect()
+            client_id = client.hello("stalled")
+            victim = server._workers[server._clients[client_id].owners[0]]
+            pid = victim.process.pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                for frame in frames[:10]:
+                    client.send_segment(frame)
+                wait_for(lambda: client.status()["shard_lag"]["0"] == 10,
+                         "the stopped worker's backlog")
+            finally:
+                os.kill(pid, signal.SIGKILL)
+            wait_for(lambda: client.status()["worker_failures"] == 1,
+                     "the worker death")
+            for frame in frames[10:]:
                 client.send_segment(frame)
             ack = client.end_log(len(frames))
-            body = client.report()
-            status = client.status()
+            deadline = time.monotonic() + 5
+            while True:
+                status = client.status()
+                if (all(lag == 0 for lag in status["shard_lag"].values())
+                        or time.monotonic() > deadline):
+                    break
+                time.sleep(0.05)
             client.close()
-        assert status["worker_failures"] == 1
+        assert status["clients_pending"] == 0
+        assert status["shard_lag"] == {str(s): 0
+                                       for s in range(server.num_shards)}
         assert ack["races"] == reference.num_static
-        assert wire_occurrences(body) == reference.occurrences
+
+    def test_process_exits_after_a_worker_dies_with_a_full_queue(self):
+        """A worker killed with more queued for it than a pipe holds leaves
+        that queue's feeder thread blocked for good; the server's process
+        must still exit once the server stops."""
+        script = textwrap.dedent("""
+            import os, signal, tempfile, time
+            from repro.core.literace import LiteRace
+            from repro.detector.merge import merge_thread_logs
+            from repro.eventlog.log import EventLog
+            from repro.eventlog.segment import split_log
+            from repro.service import TelemetryClient, TelemetryServer
+            from repro.workloads.synthetic import random_program
+
+            log = LiteRace(sampler="Full", seed=2).profile(
+                random_program(3))[1]
+            ordered = EventLog()
+            ordered.events = merge_thread_logs(log).events
+            frames = split_log(ordered, segment_events=64)
+            address = "unix:" + os.path.join(
+                tempfile.mkdtemp(prefix="reprosvc-", dir="/tmp"), "sock")
+            with TelemetryServer([address], workers=1) as server:
+                pid = server._workers[0].process.pid
+                os.kill(pid, signal.SIGSTOP)
+                clients, queued = [], 0
+                while queued < 4 * 65536:  # well past a pipe's capacity
+                    client = TelemetryClient(address).connect()
+                    client.hello("backlog")
+                    for frame in frames:
+                        client.send_segment(frame)
+                        queued += len(frame)
+                    clients.append(client)
+                os.kill(pid, signal.SIGKILL)
+                while client.status()["worker_failures"] == 0:
+                    time.sleep(0.05)
+                for client in clients:
+                    client.end_log(len(frames))
+                    client.close()
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr[-2000:]
 
     def test_last_worker_death_spawns_replacement(self, fleet_logs):
         log_a, _ = fleet_logs
@@ -333,6 +635,8 @@ class TestRobustness:
             with TelemetryClient(address) as client:
                 result = client.submit_log(log_a, segment_events=16)
         assert status["segment_errors"] == 2
+        # A rejected segment is answered too: it leaves no lag behind.
+        assert status["shard_lag"] == {"0": 0}
         assert status["worker_failures"] == 0
         assert result.races == reference.num_static
 
