@@ -8,8 +8,7 @@
 # tier-1 via tests/test_service_smoke.py; validate-smoke drives the race
 # validation CLI (run --log-out / validate / run --validate) end to end
 # and is wired into tier-1 via tests/test_validate_smoke.py; bench-smoke
-# runs the detector throughput harness at tiny scale under BOTH kernels
-# (numpy and the REPRO_NO_NUMPY=1 pure fallback) and validates the
+# runs the detector throughput harness at tiny scale and validates the
 # BENCH_detector.json schema-2 trajectory, wired into tier-1 via
 # tests/test_bench_smoke.py (append a new committed entry with
 # `python -m repro bench --out BENCH_detector.json`); scenarios-smoke
@@ -34,11 +33,8 @@ serve-smoke:
 validate-smoke:
 	$(PYTHON) -m pytest tests/test_validate_smoke.py -q
 
-# Both kernels: the default run picks up numpy when installed; the second
-# run forces the pure-Python fallback via REPRO_NO_NUMPY=1.
 bench-smoke:
 	$(PYTHON) -m pytest tests/test_bench_smoke.py -q
-	REPRO_NO_NUMPY=1 $(PYTHON) -m pytest tests/test_bench_smoke.py -q
 
 scenarios-smoke:
 	$(PYTHON) -m pytest tests/test_scenarios_smoke.py -q

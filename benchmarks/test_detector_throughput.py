@@ -19,9 +19,8 @@ from repro.core.literace import LiteRace
 from repro.detector.fasttrack import FastTrackDetector
 from repro.detector.flat import FlatDetector
 from repro.detector.hb import HappensBeforeDetector
-from repro.eventlog.segment import (SegmentBatcher, decode_segment,
-                                    decode_segment_columns, encode_segment)
-from repro.numpy_support import HAVE_NUMPY
+from repro.eventlog.segment import (decode_segment, decode_segment_columns,
+                                    encode_segment)
 
 
 @pytest.fixture(scope="module")
@@ -111,48 +110,3 @@ def test_flat_pipeline_speedup_floor(full_log):
     assert speedup >= FLAT_PIPELINE_FLOOR, (
         f"flat pipeline only {speedup:.2f}x over per-event feed "
         f"(floor {FLAT_PIPELINE_FLOOR}x) — hot-path regression")
-
-
-#: The committed numpy trajectory entry is well above this; the tier-2
-#: floor sits at 4x so only a genuine kernel/decode regression trips, not
-#: scheduler noise.  Burst streams are used because that is where the
-#: pre-filter's swallow rate (and therefore the regression signal) is
-#: highest.
-VECTORIZED_PIPELINE_FLOOR = 4.0
-
-
-@pytest.mark.skipif(not HAVE_NUMPY,
-                    reason="numpy unavailable (or REPRO_NO_NUMPY=1)")
-def test_vectorized_pipeline_speedup_floor():
-    """Batched decode + numpy pre-filter must stay >= 4x the reference."""
-    from repro.bench import build_stream
-
-    events = build_stream("read_burst", 100_000)
-    frames = [encode_segment(events[i:i + 512])
-              for i in range(0, len(events), 512)]
-
-    def reference():
-        detector = FastTrackDetector()
-        feed = detector.feed
-        for frame in frames:
-            for event in decode_segment(frame)[0]:
-                feed(event)
-        return detector
-
-    def vectorized():
-        detector = FlatDetector("fasttrack")
-        with SegmentBatcher(detector.feed_batch) as batcher:
-            for frame in frames:
-                batcher.push(frame)
-        return detector
-
-    best = {reference: float("inf"), vectorized: float("inf")}
-    for _ in range(3):
-        for side in (reference, vectorized):
-            start = time.perf_counter()
-            side()
-            best[side] = min(best[side], time.perf_counter() - start)
-    speedup = best[reference] / best[vectorized]
-    assert speedup >= VECTORIZED_PIPELINE_FLOOR, (
-        f"vectorized pipeline only {speedup:.2f}x over per-event feed "
-        f"(floor {VECTORIZED_PIPELINE_FLOOR}x) — kernel regression")

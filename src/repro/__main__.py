@@ -360,9 +360,9 @@ def _cmd_analyze(args) -> int:
     detector = FlatDetector("hb", alloc_as_sync=not args.no_alloc_sync)
 
     if version == 2:
-        # Segmented logs carry the interleaving on the wire, so the frames
-        # stream straight into the batched detector as columns — no event
-        # objects, no merge pass.
+        # Segmented logs carry the interleaving on the wire, so each frame
+        # is decoded and detected as it is read — no event objects, no
+        # merge pass.
         from .eventlog.segment import SegmentBatcher
 
         sync_count = 0
@@ -373,14 +373,12 @@ def _cmd_analyze(args) -> int:
             nonlocal sync_count, memory_count
             sync_count += cols.sync_count
             memory_count += cols.memory_count
-            tids = cols.tids
-            threads.update(tids.tolist() if hasattr(tids, "tolist")
-                           else tids)
+            threads.update(cols.tids)
             detector.feed_batch(cols)
 
-        with SegmentBatcher(sink) as batcher:
-            for _ in range(sections):
-                _, offset = batcher.push(data, offset)
+        push = SegmentBatcher(sink).push
+        for _ in range(sections):
+            _, offset = push(data, offset)
         if offset != len(data):
             raise ValueError("trailing bytes after last segment")
         num_threads = len(threads)

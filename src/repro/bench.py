@@ -14,17 +14,17 @@ segments (the production shape), and consumed end to end two ways:
 
 * **reference** — ``decode_segment`` into event objects, then the per-event
   ``FastTrackDetector.feed`` loop (the pre-flat hot path);
-* **flat** — :class:`~repro.eventlog.segment.SegmentBatcher` batching the
-  encoded frames into one vectorized decode per ~4096 events, feeding
-  ``FlatDetector('fasttrack').feed_batch`` (the production hot path,
-  including the numpy pre-filter kernel when numpy is importable — the
-  ``kernel`` field records which ran).
+* **flat** — :class:`~repro.eventlog.segment.SegmentBatcher` decoding each
+  encoded frame into columns and feeding it to
+  ``FlatDetector('fasttrack').feed_batch`` (the production hot path; the
+  ``kernel`` field records which detector kernel ran, now always
+  ``pure``).
 
 Both sides do the full job (bytes in, ``RaceReport`` out), so the speedup
 is what a shard worker actually gains.  The harness asserts the two sides
 produce identical reports before trusting any timing.
 
-The server number runs the shard-worker loop itself — the batched
+The server number runs the shard-worker loop itself — the frame-at-a-time
 :meth:`~repro.service.shard.ShardDetector.feed_frame` path for one shard
 of four — giving segments/sec for a single worker process.
 
@@ -64,7 +64,6 @@ from typing import Callable, Dict, List
 from .detector.fasttrack import FastTrackDetector
 from .detector.flat import FlatDetector
 from .detector.online import OnlineRaceDetector
-from .detector.vectorized import kernel_name
 from .eventlog.events import Event, MemoryEvent, SyncEvent, SyncKind
 from .eventlog.segment import SegmentBatcher, decode_segment, encode_segment
 from .service.shard import ShardDetector
@@ -234,10 +233,9 @@ def _bench_stream(name: str, events: List[Event], frames: List[bytes],
 
     def flat() -> FlatDetector:
         detector = FlatDetector("fasttrack")
-        with SegmentBatcher(detector.feed_batch) as batcher:
-            push = batcher.push
-            for frame in frames:
-                push(frame)
+        push = SegmentBatcher(detector.feed_batch).push
+        for frame in frames:
+            push(frame)
         return detector
 
     # Equivalence gate: never publish a speedup for a detector that
@@ -266,13 +264,12 @@ def _bench_stream(name: str, events: List[Event], frames: List[bytes],
 
 def _bench_server(frames: List[bytes], total_events: int,
                   repeats: int) -> Dict[str, object]:
-    """The shard-worker loop: batched frame feed for one shard of N."""
+    """The shard-worker loop: frame-at-a-time feed for one shard of N."""
     def worker() -> ShardDetector:
         shard = ShardDetector(0, _SERVER_SHARDS)
         feed_frame = shard.feed_frame
         for frame in frames:
             feed_frame(frame)
-        shard.flush()
         return shard
 
     (best,) = _best_of([worker], repeats)
@@ -341,7 +338,8 @@ def run_bench(events_per_stream: int = DEFAULT_EVENTS,
     server = _bench_server(server_frames, server_events, repeats)
     online = _bench_online(online_events, repeats)
     if progress is not None:
-        progress(f"{'geomean':16s} {geomean:.2f}x  (kernel: {kernel_name()})")
+        progress(f"{'geomean':16s} {geomean:.2f}x  "
+                 f"(kernel: {FlatDetector.kernel})")
         progress(f"{'server worker':16s} {server['segments_per_sec']:,} "
                  f"segments/s ({server['events_per_sec']:,} ev/s, "
                  f"1 shard of {server['num_shards']})")
@@ -352,7 +350,7 @@ def run_bench(events_per_stream: int = DEFAULT_EVENTS,
                  f"(best flush_events: {online['best_flush_events']})")
     return {
         "generated": time.strftime("%Y-%m-%d"),
-        "kernel": kernel_name(),
+        "kernel": FlatDetector.kernel,
         "config": {
             "events_per_stream": events_per_stream,
             "segment_events": segment_events,
@@ -382,6 +380,7 @@ def validate_entry(entry: object, where: str = "entry") -> List[str]:
         return [f"{where} is not an object"]
     if not isinstance(entry.get("generated"), str):
         problems.append(f"{where}: missing generated date")
+    # 'numpy' marks committed entries from when a numpy kernel existed.
     if entry.get("kernel") not in ("numpy", "pure"):
         problems.append(f"{where}: kernel must be 'numpy' or 'pure'")
     config = entry.get("config")

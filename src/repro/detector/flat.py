@@ -123,8 +123,7 @@ class FlatDetector:
     ``'fasttrack'`` (epoch fast paths and read-map escalation).
     """
 
-    def __init__(self, algorithm: str = "hb", alloc_as_sync: bool = True,
-                 use_numpy: bool = None):
+    def __init__(self, algorithm: str = "hb", alloc_as_sync: bool = True):
         if algorithm not in ("hb", "fasttrack"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
         self.algorithm = algorithm
@@ -154,21 +153,10 @@ class FlatDetector:
         #: FastTrack diagnostics (always 0 under 'hb').
         self.fast_path_hits = 0
         self.escalations = 0
-        # The numpy pre-filter kernel (None = auto: use it when numpy is
-        # importable).  Imported lazily — vectorized.py imports this module.
-        if use_numpy is None or use_numpy:
-            from .vectorized import make_kernel
-            self._kernel = make_kernel(self)
-            if use_numpy and self._kernel is None:
-                raise RuntimeError("numpy kernel requested but numpy is "
-                                   "unavailable (REPRO_NO_NUMPY or missing)")
-        else:
-            self._kernel = None
 
-    @property
-    def kernel(self) -> str:
-        """Which hot-path kernel this detector runs: 'numpy' or 'pure'."""
-        return "pure" if self._kernel is None else "numpy"
+    #: The hot-path kernel: always the pure-Python loop.  Kept because the
+    #: benchmark harness records it with every run.
+    kernel = "pure"
 
     # -- thread registry ---------------------------------------------------
     def _new_slot(self, tid: int) -> int:
@@ -204,29 +192,6 @@ class FlatDetector:
 
         Returns ``(memory_events_fed, sync_events_seen)``.
         """
-        kernel = self._kernel
-        if kernel is not None:
-            result = kernel.prefilter(cols, shard_id, num_shards, block_shift)
-            if result is not None:
-                sub, skipped, swallowed = result
-                # Survivors re-enter the loop unfiltered: the shard mask
-                # was already applied array-wide.
-                if self.algorithm == "fasttrack":
-                    self._batch_fasttrack(sub, None, 0, 0)
-                    # Every swallowed event is provably one fast-path hit
-                    # (the single-owner rule admits no other branch).
-                    self.fast_path_hits += swallowed
-                else:
-                    self._batch_hb(sub, None, 0, 0)
-                kernel.reconcile()
-                mem_fed = cols.memory_count - skipped
-                self.events_processed += mem_fed + cols.sync_count
-                return mem_fed, cols.sync_count
-            # Declined batch: it will flow through the pure loop below,
-            # invalidating the kernel's batch-start shadow.
-            kernel.mark_dirty()
-        if hasattr(cols, "as_list_columns"):
-            cols = cols.as_list_columns()
         if self.algorithm == "fasttrack":
             skipped = self._batch_fasttrack(cols, shard_id, num_shards,
                                             block_shift)

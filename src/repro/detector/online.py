@@ -40,10 +40,10 @@ _SYNC_ANALYSIS_COST = 120
 
 #: Default micro-batch size: events buffered before a ``feed_batch`` flush.
 #: Small enough that the buffered tail is negligible memory, large enough
-#: to amortize batch setup and let the vectorized pre-filter engage.  The
-#: committed value is the winner of the ``repro bench`` flush-size sweep
-#: (see ``BENCH_detector.json``'s ``online`` section — throughput rises
-#: monotonically to here); override per instance via ``flush_events``.
+#: to amortize the per-batch setup of the pure loop.  The committed value
+#: is the winner of the ``repro bench --quick`` flush-size sweep (on the
+#: pure loop; throughput is flat within noise from 256 to 4096 events and
+#: only 128 lags); override per instance via ``flush_events``.
 FLUSH_EVENTS = 4096
 
 

@@ -184,6 +184,11 @@ class TelemetryServer:
         self.shutdown_requested = threading.Event()
 
         self._baseline_report = RaceReport()
+        #: PC pairs of the fleet report: the snapshot baseline's plus every
+        #: completed client's, so STATUS never re-merges the fleet
+        self._fleet_pairs: Set[Tuple[int, int]] = set()
+        #: clients between HELLO and completion or abort
+        self._clients_pending = 0
         self._counters: Dict[str, int] = {
             "segments_ingested": 0,
             "bytes_ingested": 0,
@@ -250,6 +255,12 @@ class TelemetryServer:
             self._stopping = True
         self.shutdown_requested.set()
         for listener in self._listeners:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, for unix and tcp listeners alike.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:
@@ -427,8 +438,7 @@ class TelemetryServer:
                     self._on_shard_report(client_id, shard_id, wire)
                 elif verb == "error":
                     self._counters["segment_errors"] += 1
-                    if message[3] >= 0:  # seq -1: a finalize-time error
-                        self._segment_answered(message[1])
+                    self._segment_answered(message[1])
 
     def _segment_answered(self, worker_id: int) -> bool:
         """Retire the oldest segment in flight to ``worker_id``; False for
@@ -463,6 +473,8 @@ class TelemetryServer:
             # holding every submitted byte for the daemon's lifetime.
             state.journal.clear()
             state.shard_reports.clear()
+            self._fleet_pairs.update(merged.occurrences)
+            self._clients_pending -= 1
             self._counters["clients_completed"] += 1
             state.completed.set()
             try:
@@ -587,6 +599,7 @@ class TelemetryServer:
                     if w.process is not None]
                 state.owners = [self._assign(new_id, shard_id, candidates)
                                 for shard_id in range(self.num_shards)]
+                self._clients_pending += 1
                 self._counters["clients_total"] += 1
             send_json(conn, T_OK, {"client_id": new_id})
             return new_id, False
@@ -709,6 +722,7 @@ class TelemetryServer:
     def _abort(self, state: _ClientState) -> None:
         """Give up on a client that will never complete (held _mu)."""
         state.aborted = True
+        self._clients_pending -= 1
         self._counters["clients_aborted"] += 1
         for shard_id, index in enumerate(state.owners):
             self._workers[index].pending.discard((state.client_id, shard_id))
@@ -748,16 +762,12 @@ class TelemetryServer:
         """The counters the status endpoint serves."""
         with self._mu:
             uptime = max(time.monotonic() - self._start_time, 1e-9)
-            merged = self._merged_report()
             counters = dict(self._counters)
             lag = [0] * self.num_shards
             for worker in self._workers:
                 for shard_ids in worker.in_flight:
                     for shard_id in shard_ids:
                         lag[shard_id] += 1
-            pending = sum(
-                1 for c in self._clients.values()
-                if not c.aborted and not c.completed.is_set())
             return {
                 **counters,
                 "uptime_s": round(uptime, 3),
@@ -767,8 +777,8 @@ class TelemetryServer:
                 "num_shards": self.num_shards,
                 "workers_alive": len(self._live_worker_indices()),
                 "shard_lag": {str(s): n for s, n in enumerate(lag)},
-                "clients_pending": pending,
-                "races_found": merged.num_static,
+                "clients_pending": self._clients_pending,
+                "races_found": len(self._fleet_pairs),
                 "verdicts_known": len(self._verdicts),
             }
 
@@ -790,16 +800,13 @@ class TelemetryServer:
                 verdict = self._verdicts.get(key)
                 if verdict is not None:
                     row["verdict"] = verdict
-            pending = sum(
-                1 for c in self._clients.values()
-                if not c.aborted and not c.completed.is_set())
             return {
                 "report": wire,
                 "num_static": merged.num_static,
                 "num_dynamic": merged.num_dynamic,
                 "suppressed": suppressed,
                 "clients_completed": self._counters["clients_completed"],
-                "clients_pending": pending,
+                "clients_pending": self._clients_pending,
             }
 
     # -- persistence -------------------------------------------------------
@@ -820,6 +827,7 @@ class TelemetryServer:
         with open(path, "r", encoding="utf-8") as handle:
             snapshot = json.load(handle)
         self._baseline_report = report_from_wire(snapshot["report"])
+        self._fleet_pairs.update(self._baseline_report.occurrences)
         for key, value in snapshot.get("verdicts", {}).items():
             low, high = key.split(",", 1)
             self._verdicts[(int(low), int(high))] = RaceVerdict(value).value

@@ -33,9 +33,7 @@ from typing import Dict, Tuple
 
 from ..detector.flat import FlatDetector
 from ..detector.races import RaceReport
-from ..eventlog.events import Event
-from ..eventlog.segment import (DEFAULT_BATCH_EVENTS, SegmentBatcher,
-                                SegmentColumns, columns_from_events)
+from ..eventlog.segment import SegmentBatcher, SegmentColumns
 from .protocol import report_to_wire
 
 __all__ = ["SHARD_BLOCK_SHIFT", "shard_of", "ShardDetector", "worker_main"]
@@ -53,58 +51,49 @@ def shard_of(addr: int, num_shards: int) -> int:
 class ShardDetector:
     """An incremental happens-before detector restricted to one shard.
 
-    Feed it a client's event stream in processing order; it consumes every
-    sync event (keeping its happens-before relation complete) and exactly
-    the memory events whose address belongs to shard ``shard_id``.
+    Feed it a client's segment frames in processing order; it consumes
+    every sync event (keeping its happens-before relation complete) and
+    exactly the memory events whose address belongs to shard ``shard_id``.
     """
 
     def __init__(self, shard_id: int, num_shards: int,
-                 alloc_as_sync: bool = True,
-                 batch_events: int = DEFAULT_BATCH_EVENTS):
+                 alloc_as_sync: bool = True):
         if not 0 <= shard_id < num_shards:
             raise ValueError(f"shard {shard_id} outside 0..{num_shards - 1}")
         self.shard_id = shard_id
         self.num_shards = num_shards
         self._detector = FlatDetector("hb", alloc_as_sync=alloc_as_sync)
-        self._batcher = SegmentBatcher(self._consume,
-                                       target_events=batch_events)
+        self._reader = SegmentBatcher(self._consume)
         self.sync_events = 0
         self.memory_events = 0
         self.segments = 0
 
     def _consume(self, cols: SegmentColumns) -> None:
-        memory, sync = self._detector.feed_batch(
-            cols, shard_id=self.shard_id, num_shards=self.num_shards,
-            block_shift=SHARD_BLOCK_SHIFT)
+        if self.num_shards == 1:
+            # The only shard owns every address: skip the per-event filter.
+            memory, sync = self._detector.feed_batch(cols)
+        else:
+            memory, sync = self._detector.feed_batch(
+                cols, shard_id=self.shard_id, num_shards=self.num_shards,
+                block_shift=SHARD_BLOCK_SHIFT)
         self.memory_events += memory
         self.sync_events += sync
 
     def feed_frame(self, data: bytes, offset: int = 0) -> int:
-        """Buffer one *encoded* segment frame (the worker hot path).
+        """Decode one *encoded* segment frame and detect it (the worker
+        hot path).
 
-        Frames accumulate until ``batch_events`` events are pending, then
-        decode in one vectorized pass straight into the detector.  Decode
-        errors from a poisoned payload surface here or at :meth:`flush` —
-        the batcher discards the poisoned batch, so the detector keeps
-        running on whatever decodes cleanly.  Returns the frame's declared
-        event count (validated against the payload size).
+        When this returns the frame has been analyzed.  A poisoned payload
+        raises here, before the detector sees any of the frame, so the
+        detector keeps running on the frames that decode cleanly.  Returns
+        the frame's event count.
         """
-        count, _ = self._batcher.push(data, offset)
+        count, _ = self._reader.push(data, offset)
         self.segments += 1
         return count
 
-    def flush(self) -> None:
-        """Drain any frames still buffered by :meth:`feed_frame`."""
-        self._batcher.flush()
-
-    def feed(self, event: Event) -> None:
-        """Per-event compatibility shim over the batched path."""
-        self._batcher.flush()
-        self._consume(columns_from_events((event,)))
-
     @property
     def report(self) -> RaceReport:
-        self._batcher.flush()
         return self._detector.report
 
 
@@ -125,8 +114,10 @@ def worker_main(worker_id: int, in_queue, out_queue, num_shards: int,
         ("report", worker_id, client_id, shard_id, wire_report, segments)
         ("error", worker_id, client_id, seq, message)
 
-    A malformed segment is reported and skipped rather than allowed to kill
-    the process — a crash here would trigger a replay of the same poisoned
+    Each segment is decoded and detected before it is answered, so an ack
+    means the frame was analyzed, and a malformed segment gets an error
+    for its own ``seq``.  It is skipped rather than allowed to kill the
+    process — a crash here would trigger a replay of the same poisoned
     segment on another worker, looping forever.
     """
     detectors: Dict[Tuple[int, int], ShardDetector] = {}
@@ -150,9 +141,6 @@ def worker_main(worker_id: int, in_queue, out_queue, num_shards: int,
             count = 0
             error = None
             for shard_id in shard_ids:
-                # Per-shard isolation: a decode error raised while one
-                # shard's batcher flushes must not keep the frame from the
-                # remaining shards, or the shards' sync streams diverge.
                 try:
                     count = detector_for(client_id,
                                          shard_id).feed_frame(payload)
@@ -160,8 +148,8 @@ def worker_main(worker_id: int, in_queue, out_queue, num_shards: int,
                     # Catch everything: the server only validates the
                     # outer frame header, so a corrupt payload can surface
                     # as struct.error, zlib.error, ValueError, KeyError...
-                    # The batcher salvages around the poisoned frame, so
-                    # later segments still analyze cleanly.
+                    # Decoding is all or nothing, so every shard skips the
+                    # same frame and their sync streams stay identical.
                     error = exc
             if error is not None:
                 out_queue.put(("error", worker_id, client_id, seq,
@@ -179,13 +167,6 @@ def worker_main(worker_id: int, in_queue, out_queue, num_shards: int,
                     # aggregator's completion count still adds up.
                     state = ShardDetector(shard_id, num_shards,
                                           alloc_as_sync=alloc_as_sync)
-                try:
-                    state.flush()
-                except Exception as exc:
-                    # A poisoned payload buffered since the last flush:
-                    # report it, then publish what decoded cleanly.
-                    out_queue.put(("error", worker_id, client_id, -1,
-                                   f"bad segment: {exc}"))
                 out_queue.put(("report", worker_id, client_id, shard_id,
                                report_to_wire(state.report),
                                state.segments))

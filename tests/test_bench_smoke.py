@@ -45,8 +45,7 @@ class TestHarness:
             assert row["flat_events_per_sec"] > 0
 
     def test_entry_records_active_kernel(self, smoke_entry):
-        from repro.detector.vectorized import kernel_name
-        assert smoke_entry["kernel"] == kernel_name()
+        assert smoke_entry["kernel"] == "pure"
 
     def test_server_section_populated(self, smoke_entry):
         server = smoke_entry["server"]

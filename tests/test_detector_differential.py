@@ -32,11 +32,11 @@ from repro.detector.fasttrack import FastTrackDetector
 from repro.detector.flat import FlatDetector
 from repro.detector.hb import HappensBeforeDetector
 from repro.eventlog.events import MemoryEvent, SyncEvent, SyncKind
-from repro.eventlog.segment import columns_from_events
-from repro.numpy_support import HAVE_NUMPY
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy unavailable (or REPRO_NO_NUMPY=1)")
+from repro.eventlog.segment import (
+    SegmentBatcher,
+    columns_from_events,
+    encode_segment,
+)
 
 #: Per-workload cap: differential equivalence on a prefix is still exact
 #: (both sides consume the same events), and it bounds tier-1 runtime.
@@ -235,13 +235,21 @@ class TestEscalationEdges:
             assert_flat_matches(events, "hb", alloc_as_sync=alloc)
 
 
-# -- numpy kernel vs pure-Python loop ----------------------------------------
+# -- the pure loop under chunking, frames and shard filters ------------------
 
-def run_flat(events, algorithm, use_numpy, *, alloc_as_sync=True,
-             batch_size=None, shard=None):
-    """Feed ``events`` through a FlatDetector with an explicit kernel."""
-    detector = FlatDetector(algorithm, alloc_as_sync=alloc_as_sync,
-                            use_numpy=use_numpy)
+def routed(events, shard):
+    """``events`` without the memory events that ``shard`` filters out."""
+    if shard is None:
+        return list(events)
+    shard_id, num_shards, block_shift = shard
+    return [e for e in events if isinstance(e, SyncEvent)
+            or (e.addr >> block_shift) % num_shards == shard_id]
+
+
+def run_flat(events, algorithm, *, alloc_as_sync=True, batch_size=None,
+             shard=None):
+    """Feed ``events`` through a FlatDetector in ``batch_size`` chunks."""
+    detector = FlatDetector(algorithm, alloc_as_sync=alloc_as_sync)
     if batch_size is None:
         chunks = [events]
     else:
@@ -259,37 +267,54 @@ def run_flat(events, algorithm, use_numpy, *, alloc_as_sync=True,
     return detector
 
 
+def assert_same_as_one_feed(detector, events, algorithm, *,
+                            alloc_as_sync=True, shard=None):
+    """``detector`` vs one unfiltered feed of what ``shard`` keeps:
+    byte-identical reports AND counters."""
+    whole = FlatDetector(algorithm, alloc_as_sync=alloc_as_sync)
+    whole.feed_batch(columns_from_events(routed(events, shard)))
+    assert detector.kernel == whole.kernel == "pure"
+    assert report_key(detector) == report_key(whole)
+    assert detector.events_processed == whole.events_processed
+    assert detector.fast_path_hits == whole.fast_path_hits
+    assert detector.escalations == whole.escalations
+    return whole
+
+
 def assert_kernels_agree(events, algorithm, *, alloc_as_sync=True,
                          batch_size=None, shard=None):
-    """numpy kernel and pure loop: byte-identical reports AND counters."""
-    numpy_side = run_flat(events, algorithm, True,
-                          alloc_as_sync=alloc_as_sync,
-                          batch_size=batch_size, shard=shard)
-    pure_side = run_flat(events, algorithm, False,
-                         alloc_as_sync=alloc_as_sync,
-                         batch_size=batch_size, shard=shard)
-    assert numpy_side.kernel == "numpy"
-    assert pure_side.kernel == "pure"
-    assert report_key(numpy_side) == report_key(pure_side)
-    assert numpy_side.events_processed == pure_side.events_processed
-    assert numpy_side.fast_path_hits == pure_side.fast_path_hits
-    assert numpy_side.escalations == pure_side.escalations
-    return numpy_side, pure_side
+    """Chunked, shard-filtered feeds vs one feed of the routed events."""
+    chunked = run_flat(events, algorithm, alloc_as_sync=alloc_as_sync,
+                       batch_size=batch_size, shard=shard)
+    assert_same_as_one_feed(chunked, events, algorithm,
+                            alloc_as_sync=alloc_as_sync, shard=shard)
+    return chunked
 
 
-@needs_numpy
 class TestKernelEquivalence:
-    """The tentpole contract: the vectorized pre-filter is invisible."""
+    """The pure loop is the one kernel: how events reach it is invisible.
+
+    Whole or in chunks, frame by frame through :class:`SegmentBatcher`, or
+    through the in-loop shard filter, the detector must end exactly where
+    one feed of the events it keeps would.
+    """
 
     @pytest.mark.parametrize("name", WORKLOADS)
     @pytest.mark.parametrize("algorithm", ["fasttrack", "hb"])
     def test_workloads_byte_identical(self, workload_logs, name, algorithm):
+        # The streaming path: 512-event SEGMENT frames (the client's
+        # default), each decoded and detected as it is pushed.
         events = workload_logs[name][:20_000]
-        assert_kernels_agree(events, algorithm, batch_size=4096)
+        detector = FlatDetector(algorithm)
+        batcher = SegmentBatcher(detector.feed_batch)
+        for start in range(0, len(events), 512):
+            batcher.push(encode_segment(events[start:start + 512]))
+        batcher.flush()
+        assert_same_as_one_feed(detector, events, algorithm)
 
     @settings(max_examples=30, deadline=None)
     @given(events=event_streams(), alloc=st.booleans(),
-           batch=st.sampled_from([None, 7, 50, 300]))
+           batch=st.sampled_from([1, 7, 50, 300]))
     def test_randomized_streams(self, events, alloc, batch):
         for algorithm in ("fasttrack", "hb"):
             assert_kernels_agree(events, algorithm, alloc_as_sync=alloc,
@@ -299,32 +324,22 @@ class TestKernelEquivalence:
     @given(events=event_streams(max_events=200),
            num_shards=st.sampled_from([1, 2, 4]))
     def test_shard_filter_equivalence(self, events, num_shards):
-        # Per shard, both kernels agree; across shards, the union of the
-        # reports equals the unsharded report's racy-address set.
-        whole, _ = assert_kernels_agree(events, "hb")
+        # Per shard, the filter equals dropping the other shards' memory
+        # events up front; across shards, the union of the reports equals
+        # the unsharded report's racy-address set.
+        whole = assert_kernels_agree(events, "hb")
         union = set()
         for shard_id in range(num_shards):
-            np_side, _ = assert_kernels_agree(
+            sharded = assert_kernels_agree(
                 events, "hb", shard=(shard_id, num_shards, 2))
-            union |= set(np_side.report.addresses)
+            union |= set(sharded.report.addresses)
         assert union == set(whole.report.addresses)
-
-    def test_kernel_swallows_private_runs(self):
-        # A sanity check that the kernel actually engages: after the first
-        # batch assigns thread slots, long thread-private runs must be
-        # absorbed before the slow loop.
-        events = [mem(0, 0x100, 1, True) for _ in range(512)] \
-            + [mem(1, 0x200, 2, False) for _ in range(512)]
-        numpy_side, _ = assert_kernels_agree(events * 2, "fasttrack",
-                                             batch_size=1024)
-        kernel = numpy_side._kernel
-        assert kernel.swallowed_events > 900
 
     def test_epoch_collision_at_segment_edges(self):
         # Release ticks between batches: thread 0's clock advances at a
-        # batch boundary, so the same-slot epoch seen by the next batch's
-        # pre-filter differs from the shadow by exactly one tick.  Any
-        # off-by-one in the release-interval bookkeeping shows up here.
+        # batch boundary, so the epoch a thread holds when the next batch
+        # starts differs from the shadow's by exactly one tick.  Any state
+        # that does not carry across feed_batch calls shows up here.
         events = []
         for round_no in range(6):
             events.extend(mem(0, 0x10, 1, True) for _ in range(5))
@@ -337,8 +352,8 @@ class TestKernelEquivalence:
 
     def test_shard_mask_block_boundaries(self):
         # Addresses straddling block edges: with block_shift=6, addresses
-        # 63 and 64 are different blocks; an off-by-one in the vectorized
-        # (addr >> shift) % num_shards mask silently drops or duplicates
+        # 63 and 64 are different blocks; an off-by-one in the
+        # (addr >> shift) % num_shards filter silently drops or duplicates
         # the boundary access.
         edge_addrs = [0, 1, 63, 64, 65, 127, 128, 191, 192, 255]
         events = []
@@ -347,33 +362,24 @@ class TestKernelEquivalence:
         for num_shards in (2, 3, 4):
             per_shard_counts = []
             for shard_id in range(num_shards):
-                np_side, _ = assert_kernels_agree(
+                sharded = assert_kernels_agree(
                     events, "hb", shard=(shard_id, num_shards, 6))
-                per_shard_counts.append(np_side.events_processed)
+                per_shard_counts.append(sharded.events_processed)
             # Every memory event lands on exactly one shard.
             assert sum(per_shard_counts) == len(events)
 
     def test_mixed_kernel_and_fallback_sequences(self):
-        # Alternating sharded and unsharded feeds on one detector forces
-        # the kernel's shadow-dirty fallback path between batches.
+        # Alternating filtered (one shard, so it keeps everything) and
+        # unfiltered feeds on one detector: both branches of the loop
+        # must leave the same state behind.
         events = [mem(t, a, a + 1, w) for t in (0, 1)
                   for a in (0x10, 0x40, 0x80) for w in (True, False)] * 10
-        numpy_side = FlatDetector("hb", use_numpy=True)
-        pure_side = FlatDetector("hb", use_numpy=False)
+        mixed = FlatDetector("hb")
         for start in range(0, len(events), 17):
             cols = columns_from_events(events[start:start + 17])
             if (start // 17) % 2:
-                numpy_side.feed_batch(cols, shard_id=0, num_shards=1,
-                                      block_shift=6)
-                pure_side.feed_batch(cols, shard_id=0, num_shards=1,
-                                     block_shift=6)
+                mixed.feed_batch(cols, shard_id=0, num_shards=1,
+                                 block_shift=6)
             else:
-                numpy_side.feed_batch(cols)
-                pure_side.feed_batch(cols)
-        assert report_key(numpy_side) == report_key(pure_side)
-        assert numpy_side.events_processed == pure_side.events_processed
-
-    def test_use_numpy_flag_validation(self):
-        assert FlatDetector("hb", use_numpy=True).kernel == "numpy"
-        assert FlatDetector("hb", use_numpy=False).kernel == "pure"
-        assert FlatDetector("hb").kernel == "numpy"
+                mixed.feed_batch(cols)
+        assert_same_as_one_feed(mixed, events, "hb")

@@ -158,11 +158,13 @@ class TestShardingPartition:
         full = HappensBeforeDetector()
         full.feed_all(events)
 
+        frames = [encode_segment(events[i:i + 7])
+                  for i in range(0, len(events), 7)]
         merged = RaceReport()
         for shard_id in range(num_shards):
             shard = ShardDetector(shard_id, num_shards)
-            for event in events:
-                shard.feed(event)
+            for frame in frames:
+                shard.feed_frame(frame)
             merged.merge(shard.report)
 
         assert merged.occurrences == full.report.occurrences
@@ -173,7 +175,6 @@ class TestShardingPartition:
                   MemoryEvent(0, 0, 1, True),
                   MemoryEvent(0, 64, 2, True)]
         shard = ShardDetector(1, 2)
-        for event in events:
-            shard.feed(event)
+        assert shard.feed_frame(encode_segment(events)) == 3
         assert shard.sync_events == 1
         assert shard.memory_events == 1  # only addr 64 belongs to shard 1

@@ -34,16 +34,10 @@ from repro.eventlog.segment import (
     _SEG_HEADER,
     SegmentBatcher,
     columns_from_events,
-    concat_columns,
     decode_segment,
     decode_segment_columns,
-    decode_segment_columns_numpy,
     encode_segment,
 )
-from repro.numpy_support import HAVE_NUMPY
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy unavailable (or REPRO_NO_NUMPY=1)")
 
 _DOMAINS = ("mutex", "event", "thread", "atomic", "page")
 
@@ -224,85 +218,30 @@ class TestCorruptionRaises:
             decode_segment_columns(bytes(frame))
 
 
-@needs_numpy
-class TestNumpyDecodeParity:
-    """The vectorized decoder is a drop-in for the list decoder."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(events=event_streams, compress=st.booleans())
-    def test_decodes_identically(self, events, compress):
-        frame = encode_segment(events, compress=compress)
-        cols, end_a = decode_segment_columns(frame)
-        fast, end_b = decode_segment_columns_numpy(frame)
-        assert end_a == end_b == len(frame)
-        assert fast.to_events() == cols.to_events() == events
-
-    def test_sync_dense_delegation(self):
-        # syncs*8 > count sends the frame to the list decoder; the result
-        # must be indistinguishable from the numpy one either way.
-        events = [SyncEvent(t % 4, SyncKind.LOCK, ("mutex", t % 3), t, t)
-                  for t in range(40)]
-        frame = encode_segment(events)
-        assert decode_segment_columns_numpy(frame)[0].to_events() == events
-
-    @settings(max_examples=30, deadline=None)
-    @given(events=event_streams)
-    def test_corruption_verdicts_agree(self, events):
-        # Bit-flip a byte anywhere in the frame: both decoders must agree
-        # on *whether* the frame is rejected (messages may differ).
-        frame = bytearray(encode_segment(events))
-        if len(frame) <= _SEG_HEADER.size:
-            return
-        frame[_SEG_HEADER.size + (len(events) * 7) %
-              (len(frame) - _SEG_HEADER.size)] ^= 0xFF
-        frame = bytes(frame)
-        try:
-            cols, _ = decode_segment_columns(frame)
-            outcome = cols.to_events()
-        except ValueError:
-            outcome = ValueError
-        try:
-            fast, _ = decode_segment_columns_numpy(frame)
-            fast_outcome = fast.to_events()
-        except ValueError:
-            fast_outcome = ValueError
-        assert fast_outcome == outcome
-
-
 class TestSegmentBatcher:
-    """Superframe decode is invisible relative to per-frame decode."""
+    """Frame-at-a-time reading is invisible relative to per-frame decode."""
 
     def encode_stream(self, events, *, per_frame=7, compress=False):
         return [encode_segment(events[i:i + per_frame], compress=compress)
                 for i in range(0, max(len(events), 1), per_frame)]
 
     @settings(max_examples=40, deadline=None)
-    @given(events=event_streams, compress=st.booleans(),
-           target=st.sampled_from([1, 5, 16, 4096]))
-    def test_batches_are_lossless(self, events, compress, target):
+    @given(events=event_streams, compress=st.booleans())
+    def test_batches_are_lossless(self, events, compress):
         frames = self.encode_stream(events, compress=compress)
         batches = []
-        with SegmentBatcher(batches.append, target_events=target) as batcher:
-            stream = b"".join(frames)
-            offset = 0
-            counts = []
-            while offset < len(stream):
-                count, offset = batcher.push(stream, offset)
-                counts.append(count)
+        batcher = SegmentBatcher(batches.append)
+        stream = b"".join(frames)
+        offset = 0
+        counts = []
+        while offset < len(stream):
+            count, offset = batcher.push(stream, offset)
+            counts.append(count)
+            # Each push hands its frame to the sink before returning.
+            assert len(batches) == len(counts)
         assert sum(counts) == len(events)
         replayed = [e for batch in batches for e in batch.to_events()]
         assert replayed == events
-
-    def test_auto_flush_at_target(self):
-        events = [MemoryEvent(0, a, 1, True) for a in range(30)]
-        batches = []
-        batcher = SegmentBatcher(batches.append, target_events=10)
-        for frame in self.encode_stream(events, per_frame=5):
-            batcher.push(frame)
-        # 30 events at target 10 → three auto-flushes, nothing pending.
-        assert [b.count for b in batches] == [10, 10, 10]
-        batcher.flush()
-        assert len(batches) == 3
 
     def test_detector_parity_with_per_frame_decode(self):
         events = []
@@ -313,9 +252,9 @@ class TestSegmentBatcher:
                                         ("mutex", i % 2), i, i))
         frames = self.encode_stream(events, per_frame=13)
         batched = FlatDetector("hb")
-        with SegmentBatcher(batched.feed_batch, target_events=50) as batcher:
-            for frame in frames:
-                batcher.push(frame)
+        batcher = SegmentBatcher(batched.feed_batch)
+        for frame in frames:
+            batcher.push(frame)
         per_frame = FlatDetector("hb")
         for frame in frames:
             per_frame.feed_batch(decode_segment_columns(frame)[0])
@@ -328,48 +267,28 @@ class TestSegmentBatcher:
         batcher = SegmentBatcher(batches.append)
         with pytest.raises(ValueError):
             batcher.push(frame[:-5])
-        # The bad frame was never buffered; the batcher stays usable.
+        # The bad frame never reached the sink; the batcher stays usable.
+        assert batches == []
         batcher.push(frame)
-        batcher.flush()
         assert len(batches) == 1 and batches[0].count == 4
 
-    def test_flush_salvages_around_poisoned_frame(self):
+    def test_poisoned_frame_raises_at_its_own_push(self):
         good_a = [MemoryEvent(0, 1, 2, True),
                   SyncEvent(0, SyncKind.LOCK, ("mutex", 1), 1, 3)]
         bad = [MemoryEvent(1, 2, 3, False),
                SyncEvent(1, SyncKind.UNLOCK, ("mutex", 1), 2, 4)]
         good_b = [MemoryEvent(2, 3, 4, True)]
         frames = [encode_segment(s) for s in (good_a, bad, good_b)]
-        # Poison the middle frame's sync kind code — passes the push-time
-        # size checks, fails the flush-time decode.
+        # Poison the middle frame's sync kind code: the header is valid,
+        # the payload is not.
         poisoned = bytearray(frames[1])
         poisoned[_SEG_HEADER.size + 13] = 0xFF
         frames[1] = bytes(poisoned)
         batches = []
-        batcher = SegmentBatcher(batches.append, target_events=4096)
-        for frame in frames:
-            batcher.push(frame)
+        batcher = SegmentBatcher(batches.append)
+        batcher.push(frames[0])
         with pytest.raises(ValueError, match="kind"):
-            batcher.flush()
+            batcher.push(frames[1])
+        batcher.push(frames[2])
         # Exactly the poisoned frame was dropped; its neighbors survived.
         assert [e for b in batches for e in b.to_events()] == good_a + good_b
-        # The error consumed the buffer — a second flush is a no-op.
-        batcher.flush()
-        assert sum(b.count for b in batches) == 3
-
-    def test_concat_columns_mixed_sources(self):
-        events = ([MemoryEvent(0, a, 1, False) for a in range(6)]
-                  + [SyncEvent(1, SyncKind.FORK, ("thread", 1), 5, 9)])
-        frame = encode_segment(events)
-        parts = [decode_segment_columns(frame)[0]]
-        if HAVE_NUMPY:
-            parts.append(decode_segment_columns_numpy(frame)[0])
-        else:
-            parts.append(decode_segment_columns(frame)[0])
-        merged = concat_columns(parts)
-        assert merged.to_events() == events + events
-        assert merged.count == 2 * len(events)
-
-    def test_rejects_bad_target(self):
-        with pytest.raises(ValueError):
-            SegmentBatcher(lambda cols: None, target_events=0)

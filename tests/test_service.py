@@ -14,6 +14,7 @@ the live harness sink.
 from __future__ import annotations
 
 import os
+import queue
 import signal
 import socket
 import struct
@@ -31,8 +32,10 @@ from repro.detector.flat import FlatDetector
 from repro.detector.hb import HappensBeforeDetector, detect_races
 from repro.detector.merge import merge_thread_logs
 from repro.detector.races import RaceInstance, RaceReport
+from repro.eventlog.events import MemoryEvent, SyncEvent, SyncKind
 from repro.eventlog.log import EventLog
-from repro.eventlog.segment import split_log
+from repro.eventlog.segment import (decode_segment_columns, encode_segment,
+                                    split_log)
 from repro.service import (
     ProtocolError,
     TelemetryClient,
@@ -49,6 +52,7 @@ from repro.service.protocol import (
     report_to_wire,
     send_frame,
 )
+from repro.service.shard import worker_main
 from repro.workloads.synthetic import random_program, two_thread_racer
 
 
@@ -278,10 +282,12 @@ class TestRouting:
             torn.hello("torn")
             torn.send_segment(frame)
             assert sum(pending_pairs(server)) == server.num_shards
+            assert server.status()["clients_pending"] == 1
             torn.close()
             wait_for(lambda: server.status()["clients_aborted"] == 1,
                      "the torn client to be aborted")
             assert pending_pairs(server) == [0, 0]
+            assert server.status()["clients_pending"] == 0
 
             # Swallow the finalize so END times out.
             monkeypatch.setattr(server, "_route_end", lambda client_id: None)
@@ -726,6 +732,55 @@ class TestRobustness:
 
 # -- persistence and the live sink -----------------------------------------
 
+    def test_stop_wakes_the_accept_threads(self):
+        address = f"unix:{short_socket_path()}"
+        server = TelemetryServer([address, "tcp:127.0.0.1:0"], workers=1)
+        server.start()
+        accept_threads = [t for t in server._threads
+                          if t.name.startswith("telemetry-accept")]
+        assert len(accept_threads) == 2
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        assert [t.name for t in accept_threads if t.is_alive()] == []
+
+
+class TestWorkerLoop:
+    """:func:`worker_main` driven in-process, as the benchmark replays it."""
+
+    def test_poisoned_frame_is_answered_for_its_own_seq(self, fleet_logs):
+        log_a, _ = fleet_logs
+        ordered = EventLog()
+        ordered.events = merge_thread_logs(log_a).events
+        good = split_log(ordered, segment_events=8)[:2]
+        bad = bytearray(encode_segment([
+            MemoryEvent(0, 0x10, 1, True),
+            SyncEvent(0, SyncKind.LOCK, ("mutex", 1), 1, 2)]))
+        bad[16 + 13] = 0x7F  # the sync record's kind code
+        inbox, outbox = queue.Queue(), queue.Queue()
+        for seq, frame in enumerate((good[0], bytes(bad), good[1])):
+            inbox.put(("segment", 7, seq, (0,), frame))
+        inbox.put(("finalize", 7, (0,)))
+        inbox.put(("stop",))
+        worker_main(3, inbox, outbox, 1)
+        messages = []
+        while not outbox.empty():
+            messages.append(outbox.get())
+
+        offline = FlatDetector("hb")
+        counts = []
+        for frame in good:
+            cols, _ = decode_segment_columns(frame)
+            offline.feed_batch(cols)
+            counts.append(cols.count)
+        assert messages == [
+            ("ack", 3, 7, 0, (0,), counts[0]),
+            ("error", 3, 7, 1, "bad segment: bad sync kind code 127"),
+            ("ack", 3, 7, 2, (0,), counts[1]),
+            ("report", 3, 7, 0, report_to_wire(offline.report), 2),
+        ]
+
+
 class TestStateAndSink:
     def test_rolling_state_survives_restart(self, fleet_logs, tmp_path):
         log_a, _ = fleet_logs
@@ -741,7 +796,10 @@ class TestStateAndSink:
                              state_dir=state_dir) as server:
             with TelemetryClient(address) as client:
                 body = client.report()
+                status = client.status()
         assert wire_occurrences(body) == reference.occurrences
+        # STATUS counts the restored races without re-merging the fleet.
+        assert status["races_found"] == body["num_static"] > 0
 
     def test_live_sink_matches_offline_analysis_of_same_run(self):
         program = random_program(11)
