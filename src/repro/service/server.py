@@ -31,12 +31,17 @@ Data flow::
   (or a fresh replacement) and those clients' journals are replayed for
   the moved pairs only.  A torn client connection discards only that
   client's pending state; the server never corrupts.
-* **Aggregation**: per-(client, shard) reports are merged in deterministic
-  (client id, shard id) order, deduplicated by PC pair, optionally
-  filtered through a :class:`~repro.core.suppressions.SuppressionList`,
-  and served over the STATUS/REPORT endpoints.  With a ``state_dir`` the
-  merged report is persisted after every completed client and reloaded on
-  restart.
+* **Aggregation**: a client's shard reports are merged in shard order
+  when its last one arrives, and the client is folded once into a running
+  fleet report, deduplicated by PC pair: counts add, addresses union, and
+  each race keeps the snapshot baseline's example, else the lowest client
+  id's, so the result does not depend on completion order.  The client's
+  state is then dropped.  STATUS and REPORT read the running report
+  (optionally filtered through a
+  :class:`~repro.core.suppressions.SuppressionList`), so a query costs
+  O(races), not O(clients served).  With a ``state_dir`` the fleet report
+  is persisted after every completed client, before its END is answered,
+  and reloaded as the baseline on restart.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.suppressions import SuppressionList
-from ..detector.races import RaceReport
+from ..detector.races import RaceKey, RaceReport
 from ..eventlog.segment import segment_event_count
 from ..tir.program import Program
 from . import protocol
@@ -113,7 +118,9 @@ class _Worker:
 
 
 class _ClientState:
-    """Everything the server tracks about one submitting client."""
+    """Everything the server tracks about one submitting client.  It is in
+    the server's client table only while the client is pending; its
+    connection keeps it after that."""
 
     __slots__ = ("client_id", "name", "journal", "enqueued", "ended",
                  "aborted", "owners", "shard_reports", "report", "completed")
@@ -123,7 +130,10 @@ class _ClientState:
         self.name = name
         #: raw segment payloads in seq order — the replay journal
         self.journal: List[bytes] = []
+        #: segments accepted from the client; only its connection's
+        #: thread reads or writes this
         self.enqueued = 0
+        #: END has been routed to the owners
         self.ended = False
         self.aborted = False
         #: worker index owning each shard of this client, by shard id
@@ -167,6 +177,7 @@ class TelemetryServer:
         self._finalize_timeout = finalize_timeout
 
         self._mu = threading.RLock()
+        #: clients between HELLO and completion or abort, by id
         self._clients: Dict[int, _ClientState] = {}
         self._next_client_id = 1
         self._ingest: "queue.Queue" = queue.Queue(maxsize=queue_depth)
@@ -183,12 +194,12 @@ class TelemetryServer:
         self._start_time = 0.0
         self.shutdown_requested = threading.Event()
 
-        self._baseline_report = RaceReport()
-        #: PC pairs of the fleet report: the snapshot baseline's plus every
-        #: completed client's, so STATUS never re-merges the fleet
-        self._fleet_pairs: Set[Tuple[int, int]] = set()
-        #: clients between HELLO and completion or abort
-        self._clients_pending = 0
+        #: the fleet report: the snapshot baseline with every completed
+        #: client folded in once (see _fold)
+        self._fleet = RaceReport()
+        #: where each fleet race's example came from: 0 for the baseline,
+        #: else the client id
+        self._example_source: Dict[RaceKey, int] = {}
         self._counters: Dict[str, int] = {
             "segments_ingested": 0,
             "bytes_ingested": 0,
@@ -392,7 +403,7 @@ class TelemetryServer:
     def _route_segment(self, client_id: int, seq: int,
                        payload: bytes) -> None:
         state = self._clients.get(client_id)
-        if state is None or state.aborted:
+        if state is None:
             return
         assert seq == len(state.journal), "segments out of order"
         state.journal.append(payload)
@@ -403,20 +414,19 @@ class TelemetryServer:
 
     def _route_end(self, client_id: int) -> None:
         state = self._clients.get(client_id)
-        if state is None or state.aborted:
+        if state is None:
             return
         state.ended = True
         for index, shard_ids in self._routes(state).items():
             self._workers[index].in_queue.put(
                 ("finalize", client_id, shard_ids))
 
-    def _route_discard(self, client_id: int) -> None:
-        state = self._clients.get(client_id)
-        if state is None:
-            return
-        state.journal.clear()
+    def _route_discard(self, state: _ClientState) -> None:
+        """Tell an aborted client's owners to drop it.  This goes through
+        the ingest queue, behind the client's last segments, so no owner
+        sees a segment of the client after its discard."""
         for index in self._routes(state):
-            self._workers[index].in_queue.put(("discard", client_id))
+            self._workers[index].in_queue.put(("discard", state.client_id))
 
     def _collect_loop(self) -> None:
         while True:
@@ -453,8 +463,8 @@ class TelemetryServer:
     def _on_shard_report(self, client_id: int, shard_id: int,
                          wire: Dict[str, Any]) -> None:
         state = self._clients.get(client_id)
-        if state is None or state.aborted or state.completed.is_set():
-            return
+        if state is None:
+            return  # completed or aborted
         if shard_id in state.shard_reports:
             return  # duplicate from a pre-crash worker's last gasp
         state.shard_reports[shard_id] = report_from_wire(wire)
@@ -473,10 +483,9 @@ class TelemetryServer:
             # holding every submitted byte for the daemon's lifetime.
             state.journal.clear()
             state.shard_reports.clear()
-            self._fleet_pairs.update(merged.occurrences)
-            self._clients_pending -= 1
+            del self._clients[client_id]
+            self._fold(client_id, merged)
             self._counters["clients_completed"] += 1
-            state.completed.set()
             try:
                 self._write_snapshot()
             except Exception:
@@ -484,6 +493,24 @@ class TelemetryServer:
                 # kill the collector thread — the in-memory report is
                 # intact and the next completion retries the write.
                 self._counters["snapshot_errors"] += 1
+            # Only now, with the snapshot on disk, may END be answered.
+            state.completed.set()
+
+    def _fold(self, client_id: int, report: RaceReport) -> None:
+        """Add a completed client's report to the fleet report (held _mu).
+
+        Counts add and addresses union; each race keeps the baseline's
+        example, else the lowest client id's.  That is what merging the
+        baseline and then every client in id order gives, whatever order
+        the clients complete in."""
+        fleet = self._fleet
+        for key, count in report.occurrences.items():
+            fleet.occurrences[key] = fleet.occurrences.get(key, 0) + count
+        for key, example in report.examples.items():
+            if client_id < self._example_source.get(key, client_id + 1):
+                fleet.examples[key] = example
+                self._example_source[key] = client_id
+        fleet.addresses |= report.addresses
 
     def _supervise_loop(self) -> None:
         while not self._stopping:
@@ -537,7 +564,9 @@ class TelemetryServer:
 
     # -- connections -------------------------------------------------------
     def _serve_connection(self, conn: socket.socket) -> None:
-        client_id: Optional[int] = None
+        # The connection's latest client; it stays here after the client
+        # leaves _clients, for the END reply and the checks that follow.
+        state: Optional[_ClientState] = None
         torn = False
         try:
             while True:
@@ -554,8 +583,8 @@ class TelemetryServer:
                 except (OSError, ValueError):
                     break
                 try:
-                    client_id, done = self._handle_frame(
-                        conn, frame_type, payload, client_id)
+                    state, done = self._handle_frame(
+                        conn, frame_type, payload, state)
                 except (OSError, ValueError):
                     break
                 if done:
@@ -563,128 +592,120 @@ class TelemetryServer:
         finally:
             with self._mu:
                 self._connections.discard(conn)
-                state = self._clients.get(client_id) if client_id else None
-                mid_stream = (state is not None and not state.ended
-                              and not state.aborted)
                 if torn and not self._stopping:
                     self._counters["connections_torn"] += 1
-                if mid_stream and not self._stopping:
-                    # The log will never complete; drop its partial state so
-                    # it cannot skew the fleet report.
+                # A client still pending will never complete; drop its
+                # partial state so it cannot skew the fleet report.
+                mid_stream = (not self._stopping
+                              and self._is_pending(state))
+                if mid_stream:
                     self._abort(state)
-            if state is not None and state.aborted:
-                self._ingest.put(("discard", client_id))
+            if mid_stream:
+                self._ingest.put(("discard", state))
             try:
                 conn.close()
             except OSError:
                 pass
 
     def _handle_frame(self, conn: socket.socket, frame_type: int,
-                      payload: bytes, client_id: Optional[int]):
-        """Dispatch one frame; returns (client_id, connection_done)."""
+                      payload: bytes, state: Optional[_ClientState]):
+        """Dispatch one frame; returns (the connection's client state,
+        connection_done)."""
         if frame_type == T_HELLO:
+            if self._is_pending(state):
+                # A second log on the connection would orphan the first:
+                # nothing could END it, and it would stay pending for the
+                # daemon's whole life.
+                self._protocol_error(
+                    conn, f"HELLO while client {state.client_id} is "
+                          f"mid-stream")
+                return state, False
             body = self._decode_body(conn, payload)
             if body is None:
-                return client_id, False
-            with self._mu:
-                new_id = self._next_client_id
-                self._next_client_id += 1
-                state = _ClientState(
-                    new_id, str(body.get("name", f"client-{new_id}")))
-                self._clients[new_id] = state
-                # With no worker alive, one not yet known dead takes the
-                # pairs; the supervisor moves them on when it notices.
-                candidates = self._live_worker_indices() or [
-                    i for i, w in enumerate(self._workers)
-                    if w.process is not None]
-                state.owners = [self._assign(new_id, shard_id, candidates)
-                                for shard_id in range(self.num_shards)]
-                self._clients_pending += 1
-                self._counters["clients_total"] += 1
-            send_json(conn, T_OK, {"client_id": new_id})
-            return new_id, False
+                return state, False
+            state = self._open_client(body.get("name"))
+            send_json(conn, T_OK, {"client_id": state.client_id})
+            return state, False
 
         if frame_type == T_SEGMENT:
-            if client_id is None:
+            if state is None:
                 self._protocol_error(conn, "SEGMENT before HELLO")
-                return client_id, False
+                return state, False
             try:
                 segment_event_count(payload)
             except ValueError as exc:
                 self._protocol_error(conn, f"bad segment: {exc}")
-                return client_id, False
-            with self._mu:
-                state = self._clients[client_id]
-                if state.ended:
-                    self._protocol_error(conn, "SEGMENT after END")
-                    return client_id, False
-                seq = state.enqueued
-                state.enqueued += 1
+                return state, False
+            if not self._is_pending(state):
+                self._protocol_error(conn, "SEGMENT after END")
+                return state, False
+            seq = state.enqueued
+            state.enqueued += 1
             # Blocking put — this is the backpressure point; no lock held.
-            self._ingest.put(("segment", client_id, seq, payload))
+            self._ingest.put(("segment", state.client_id, seq, payload))
             with self._mu:
                 self._counters["segments_ingested"] += 1
                 self._counters["bytes_ingested"] += len(payload)
             send_json(conn, T_ACK, {"seq": seq})
-            return client_id, False
+            return state, False
 
         if frame_type == T_END:
-            if client_id is None:
+            if state is None:
                 self._protocol_error(conn, "END before HELLO")
-                return client_id, False
+                return state, False
             body = self._decode_body(conn, payload)
             if body is None:
-                return client_id, False
-            with self._mu:
-                state = self._clients[client_id]
-                try:
-                    expected = int(body.get("segments", state.enqueued))
-                except (TypeError, ValueError):
-                    self._protocol_error(
-                        conn, "END segments must be an integer")
-                    return client_id, False
-                if expected != state.enqueued or state.ended:
-                    self._protocol_error(
-                        conn, f"END claims {expected} segments, "
-                              f"server saw {state.enqueued}")
-                    return client_id, False
-            self._ingest.put(("end", client_id))
+                return state, False
+            try:
+                expected = int(body.get("segments", state.enqueued))
+            except (TypeError, ValueError):
+                self._protocol_error(conn, "END segments must be an integer")
+                return state, False
+            if not self._is_pending(state):
+                self._protocol_error(conn, "END after END")
+                return state, False
+            if expected != state.enqueued:
+                self._protocol_error(
+                    conn, f"END claims {expected} segments, "
+                          f"server saw {state.enqueued}")
+                return state, False
+            self._ingest.put(("end", state.client_id))
             if not state.completed.wait(timeout=self._finalize_timeout):
                 with self._mu:
                     # Re-check under the lock: completion may have landed
                     # just after the timeout fired.
-                    timed_out = not state.completed.is_set()
-                    if timed_out and not state.aborted:
+                    timed_out = self._is_pending(state)
+                    if timed_out:
                         # Reclaim the stuck state — otherwise it sits in
                         # clients_pending forever, its journal is replayed
                         # on every worker death, and END can never be
-                        # retried (a second END fails validation).
+                        # retried.
                         self._abort(state)
                 if timed_out:
-                    self._ingest.put(("discard", client_id))
+                    self._ingest.put(("discard", state))
                     send_json(conn, T_ERR, {"error": "finalize timed out"})
-                    return client_id, False
-            with self._mu:
-                races = state.report.num_static if state.report else 0
+                    return state, False
+            # Completion set state.report before it set the event.
+            races = state.report.num_static
             send_json(conn, T_OK, {"segments": expected, "races": races})
-            return client_id, False
+            return state, False
 
         if frame_type == T_STATUS:
             send_json(conn, T_OK, self.status())
-            return client_id, False
+            return state, False
 
         if frame_type == T_REPORT:
             send_json(conn, T_OK, self.fleet_report())
-            return client_id, False
+            return state, False
 
         if frame_type == T_VERDICTS:
             body = self._decode_body(conn, payload)
             if body is None:
-                return client_id, False
+                return state, False
             rows = body.get("verdicts")
             if not isinstance(rows, list):
                 self._protocol_error(conn, "VERDICTS needs a verdicts list")
-                return client_id, False
+                return state, False
             accepted = 0
             try:
                 parsed = []
@@ -695,7 +716,7 @@ class TelemetryServer:
                     parsed.append(((low, high), value))
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 self._protocol_error(conn, f"bad verdict row: {exc}")
-                return client_id, False
+                return state, False
             with self._mu:
                 for key, value in parsed:
                     known = self._verdicts.get(key)
@@ -709,20 +730,48 @@ class TelemetryServer:
                 except Exception:
                     self._counters["snapshot_errors"] += 1
             send_json(conn, T_OK, {"verdicts": accepted})
-            return client_id, False
+            return state, False
 
         if frame_type == T_SHUTDOWN:
             send_json(conn, T_OK, {})
             self.shutdown_requested.set()
-            return client_id, True
+            return state, True
 
         self._protocol_error(conn, f"unknown frame type {frame_type}")
-        return client_id, False
+        return state, False
+
+    def _open_client(self, name: Optional[str]) -> _ClientState:
+        """Register a client at HELLO and give each of its shards to the
+        least-loaded worker."""
+        with self._mu:
+            client_id = self._next_client_id
+            self._next_client_id += 1
+            state = _ClientState(
+                client_id, f"client-{client_id}" if name is None
+                else str(name))
+            self._clients[client_id] = state
+            # With no worker alive, one not yet known dead takes the
+            # pairs; the supervisor moves them on when it notices.
+            candidates = self._live_worker_indices() or [
+                i for i, w in enumerate(self._workers)
+                if w.process is not None]
+            state.owners = [self._assign(client_id, shard_id, candidates)
+                            for shard_id in range(self.num_shards)]
+            self._counters["clients_total"] += 1
+        return state
+
+    def _is_pending(self, state: Optional[_ClientState]) -> bool:
+        """Whether ``state`` is a client between HELLO and completion or
+        abort."""
+        with self._mu:
+            return state is not None and state.client_id in self._clients
 
     def _abort(self, state: _ClientState) -> None:
-        """Give up on a client that will never complete (held _mu)."""
+        """Give up on a client that will never complete (held _mu).  The
+        caller then queues a ``discard`` for its owners."""
         state.aborted = True
-        self._clients_pending -= 1
+        state.journal.clear()
+        del self._clients[state.client_id]
         self._counters["clients_aborted"] += 1
         for shard_id, index in enumerate(state.owners):
             self._workers[index].pending.discard((state.client_id, shard_id))
@@ -748,16 +797,6 @@ class TelemetryServer:
         send_json(conn, T_ERR, {"error": message})
 
     # -- aggregation & introspection ---------------------------------------
-    def _merged_report(self) -> RaceReport:
-        """Fleet-wide deduped report, deterministic merge order (held _mu)."""
-        merged = RaceReport()
-        merged.merge(self._baseline_report)
-        for client_id in sorted(self._clients):
-            state = self._clients[client_id]
-            if state.report is not None:
-                merged.merge(state.report)
-        return merged
-
     def status(self) -> Dict[str, Any]:
         """The counters the status endpoint serves."""
         with self._mu:
@@ -777,15 +816,15 @@ class TelemetryServer:
                 "num_shards": self.num_shards,
                 "workers_alive": len(self._live_worker_indices()),
                 "shard_lag": {str(s): n for s, n in enumerate(lag)},
-                "clients_pending": self._clients_pending,
-                "races_found": len(self._fleet_pairs),
+                "clients_pending": len(self._clients),
+                "races_found": self._fleet.num_static,
                 "verdicts_known": len(self._verdicts),
             }
 
     def fleet_report(self) -> Dict[str, Any]:
         """The deduped fleet-wide race report the report endpoint serves."""
         with self._mu:
-            merged = self._merged_report()
+            merged = self._fleet
             suppressed = 0
             if self._suppressions is not None and self._program is not None:
                 merged, dropped = (
@@ -806,7 +845,7 @@ class TelemetryServer:
                 "num_dynamic": merged.num_dynamic,
                 "suppressed": suppressed,
                 "clients_completed": self._counters["clients_completed"],
-                "clients_pending": self._clients_pending,
+                "clients_pending": len(self._clients),
             }
 
     # -- persistence -------------------------------------------------------
@@ -826,8 +865,8 @@ class TelemetryServer:
 
         with open(path, "r", encoding="utf-8") as handle:
             snapshot = json.load(handle)
-        self._baseline_report = report_from_wire(snapshot["report"])
-        self._fleet_pairs.update(self._baseline_report.occurrences)
+        self._fleet = report_from_wire(snapshot["report"])
+        self._example_source = dict.fromkeys(self._fleet.examples, 0)
         for key, value in snapshot.get("verdicts", {}).items():
             low, high = key.split(",", 1)
             self._verdicts[(int(low), int(high))] = RaceVerdict(value).value
@@ -839,7 +878,7 @@ class TelemetryServer:
         import json
 
         snapshot = {
-            "report": report_to_wire(self._merged_report()),
+            "report": report_to_wire(self._fleet),
             "verdicts": {f"{low},{high}": value
                          for (low, high), value in self._verdicts.items()},
         }

@@ -13,6 +13,7 @@ the live harness sink.
 
 from __future__ import annotations
 
+import json
 import os
 import queue
 import signal
@@ -367,6 +368,11 @@ class TestRouting:
                 for thread in threads:
                     thread.join(timeout=60)
                     assert not thread.is_alive()
+                # The killed worker may have owned nothing pending, so
+                # every client can finish before the supervisor's next
+                # poll notices the death.
+                wait_for(lambda: server.status()["worker_failures"] == 1,
+                         "the supervisor to notice the killed worker")
                 wait_for(lambda: all(
                     lag == 0 for lag in server.status()["shard_lag"].values()),
                     "every segment to be acked")
@@ -374,9 +380,12 @@ class TestRouting:
                     body = client.report()
                     status = client.status()
                 pending = pending_pairs(server)
+                with server._mu:
+                    clients = dict(server._clients)
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == len(logs)
+        assert clients == {}
         assert status["worker_failures"] == 1
         assert status["clients_completed"] == len(logs)
         assert status["clients_pending"] == 0
@@ -651,9 +660,12 @@ class TestRobustness:
         address = f"unix:{short_socket_path()}"
         with TelemetryServer([address], workers=1) as server:
             with TelemetryClient(address) as client:
+                client.hello("journal")
+                # A completed client leaves _clients: hold its state now.
+                state = server._clients[1]
                 client.submit_log(log_a, segment_events=8)
-            state = server._clients[1]
             assert state.completed.is_set()
+            assert 1 not in server._clients
             # Raw segment payloads are only needed for crash replay, which
             # skips completed clients — keeping them would grow server
             # memory with every log the daemon ever ingests.
@@ -696,6 +708,8 @@ class TestRobustness:
             monkeypatch.setattr(server, "_route_end", lambda client_id: None)
             client = TelemetryClient(address).connect()
             client.hello("stuck")
+            # An aborted client leaves _clients: hold its state now.
+            state = server._clients[1]
             ordered = EventLog()
             ordered.events = merge_thread_logs(log_a).events
             client.send_segment(split_log(ordered, segment_events=64)[0])
@@ -703,7 +717,7 @@ class TestRobustness:
                 client.end_log(1)
             # The stuck state is reclaimed instead of leaking: aborted,
             # out of clients_pending, journal released.
-            state = server._clients[1]
+            assert 1 not in server._clients
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 if state.journal == []:
@@ -730,8 +744,6 @@ class TestRobustness:
         assert status["clients_completed"] == 0
 
 
-# -- persistence and the live sink -----------------------------------------
-
     def test_stop_wakes_the_accept_threads(self):
         address = f"unix:{short_socket_path()}"
         server = TelemetryServer([address, "tcp:127.0.0.1:0"], workers=1)
@@ -743,6 +755,153 @@ class TestRobustness:
         server.stop()
         assert time.monotonic() - started < 1.0
         assert [t.name for t in accept_threads if t.is_alive()] == []
+
+
+class TestClientLifecycle:
+    """A client leaves ``_clients`` when it completes or is aborted, so
+    ``_clients`` holds exactly the pending clients; its connection keeps
+    the state for what still needs it."""
+
+    def test_finished_clients_leave_the_server(self, fleet_logs,
+                                               monkeypatch):
+        """After 50 completed clients, 3 torn mid-stream and 1 END time-out
+        nothing is pending, and every torn client's owners were told to
+        discard it."""
+        log_a, _ = fleet_logs
+        ordered = EventLog()
+        ordered.events = merge_thread_logs(log_a).events
+        frame = split_log(ordered, segment_events=64)[0]
+        address = f"unix:{short_socket_path()}"
+        server = TelemetryServer([address], workers=2, finalize_timeout=1.0)
+        with server:
+            discards = set()
+            for index, worker in enumerate(server._workers):
+                def spy(message, *args, _index=index, _put=worker.in_queue.put,
+                        **kwargs):
+                    if message[0] == "discard":
+                        discards.add((_index, message[1]))
+                    return _put(message, *args, **kwargs)
+
+                monkeypatch.setattr(worker.in_queue, "put", spy)
+            for _ in range(50):
+                with TelemetryClient(address) as client:
+                    client.submit_log(log_a, segment_events=64)
+            assert server._clients == {}
+
+            owners = {}
+            for _ in range(3):
+                torn = TelemetryClient(address).connect()
+                client_id = torn.hello("torn")
+                owners[client_id] = list(server._clients[client_id].owners)
+                torn.send_segment(frame)
+                torn.close()
+            wait_for(lambda: all((owner, client_id) in discards
+                                 for client_id, owned in owners.items()
+                                 for owner in owned),
+                     "a discard at each torn client's owners")
+
+            # Swallow the finalize so END times out.
+            monkeypatch.setattr(server, "_route_end", lambda client_id: None)
+            with TelemetryClient(address) as stuck:
+                stuck.hello("stuck")
+                stuck.send_segment(frame)
+                with pytest.raises(ProtocolError, match="timed out"):
+                    stuck.end_log(1)
+                status = stuck.status()
+            with server._mu:
+                clients = dict(server._clients)
+            pending = pending_pairs(server)
+        assert clients == {}
+        assert pending == [0, 0]
+        assert status["clients_pending"] == 0
+        assert status["clients_completed"] == 50
+        assert status["clients_aborted"] == 4
+
+    def test_segment_and_end_after_end_are_refused(self, fleet_logs):
+        log_a, _ = fleet_logs
+        ordered = EventLog()
+        ordered.events = merge_thread_logs(log_a).events
+        frame = split_log(ordered, segment_events=64)[0]
+        address = f"unix:{short_socket_path()}"
+        with TelemetryServer([address], workers=1) as server:
+            with TelemetryClient(address) as client:
+                result = client.submit_log(log_a, segment_events=16)
+                with pytest.raises(ProtocolError, match="SEGMENT after END"):
+                    client.send_segment(frame)
+                with pytest.raises(ProtocolError, match="END after END"):
+                    client.end_log(result.segments)
+                # The connection is still served.
+                status = client.status()
+        assert status["protocol_errors"] == 2
+        assert status["segments_ingested"] == result.segments
+        assert status["clients_completed"] == 1
+        assert status["clients_pending"] == 0
+        assert result.races == offline_reference(log_a).num_static
+
+    def test_second_hello_mid_stream_is_refused(self, fleet_logs):
+        """A HELLO while the connection's client is mid-stream would orphan
+        that client, pending for the daemon's whole life; it gets an ERR
+        and the open client carries on.  After the client completes, a
+        HELLO opens a new one."""
+        log_a, log_b = fleet_logs
+        ordered = EventLog()
+        ordered.events = merge_thread_logs(log_a).events
+        frames = split_log(ordered, segment_events=4)
+        assert len(frames) > 1
+        address = f"unix:{short_socket_path()}"
+        with TelemetryServer([address], workers=2) as server:
+            with TelemetryClient(address) as client:
+                first_id = client.hello("first")
+                client.send_segment(frames[0])
+                with pytest.raises(ProtocolError, match="mid-stream"):
+                    client.hello("second")
+                for frame in frames[1:]:
+                    client.send_segment(frame)
+                ack = client.end_log(len(frames))
+                second_id = client.hello("second")
+                result = client.submit_log(log_b, segment_events=64)
+                status = client.status()
+                body = client.report()
+            with server._mu:
+                clients = dict(server._clients)
+            pending = pending_pairs(server)
+        assert (first_id, second_id) == (1, 2)
+        assert result.client_id == second_id
+        assert ack["races"] == offline_reference(log_a).num_static
+        assert status["protocol_errors"] == 1
+        assert status["clients_total"] == 2
+        assert status["clients_completed"] == 2
+        assert status["clients_pending"] == 0
+        assert clients == {}
+        assert pending == [0, 0]
+        assert body["report"] == offline_wire(log_a, log_b)
+
+    def test_hello_after_an_aborted_client_is_allowed(self, fleet_logs,
+                                                      monkeypatch):
+        log_a, _ = fleet_logs
+        ordered = EventLog()
+        ordered.events = merge_thread_logs(log_a).events
+        frame = split_log(ordered, segment_events=64)[0]
+        address = f"unix:{short_socket_path()}"
+        server = TelemetryServer([address], workers=1, finalize_timeout=1.0)
+        route_end = server._route_end
+        with server:
+            monkeypatch.setattr(server, "_route_end", lambda client_id: None)
+            with TelemetryClient(address) as client:
+                client.hello("stuck")
+                client.send_segment(frame)
+                with pytest.raises(ProtocolError, match="timed out"):
+                    client.end_log(1)
+                monkeypatch.setattr(server, "_route_end", route_end)
+                retry_id = client.hello("retry")
+                result = client.submit_log(log_a, segment_events=64)
+                status = client.status()
+        assert retry_id == result.client_id == 2
+        assert result.races == offline_reference(log_a).num_static
+        assert status["protocol_errors"] == 0
+        assert status["clients_aborted"] == 1
+        assert status["clients_completed"] == 1
+        assert status["clients_pending"] == 0
 
 
 class TestWorkerLoop:
@@ -781,6 +940,8 @@ class TestWorkerLoop:
         ]
 
 
+# -- persistence and the live sink -----------------------------------------
+
 class TestStateAndSink:
     def test_rolling_state_survives_restart(self, fleet_logs, tmp_path):
         log_a, _ = fleet_logs
@@ -800,6 +961,24 @@ class TestStateAndSink:
         assert wire_occurrences(body) == reference.occurrences
         # STATUS counts the restored races without re-merging the fleet.
         assert status["races_found"] == body["num_static"] > 0
+
+    def test_snapshot_holds_a_client_once_its_submit_returns(
+            self, fleet_logs, tmp_path):
+        """The snapshot is written before END is answered, so a client
+        whose submission returned is on disk even if the daemon dies the
+        next moment."""
+        log_a, log_b = fleet_logs
+        path = os.path.join(str(tmp_path / "state"), "report.json")
+        address = f"unix:{short_socket_path()}"
+        with TelemetryServer([address], workers=2,
+                             state_dir=str(tmp_path / "state")) as server:
+            on_disk = []
+            for log in (log_a, log_b):
+                with TelemetryClient(address) as client:
+                    client.submit_log(log, segment_events=32)
+                with open(path, "r", encoding="utf-8") as handle:
+                    on_disk.append(json.load(handle)["report"])
+        assert on_disk == [offline_wire(log_a), offline_wire(log_a, log_b)]
 
     def test_live_sink_matches_offline_analysis_of_same_run(self):
         program = random_program(11)
