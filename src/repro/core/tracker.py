@@ -60,6 +60,10 @@ class TimestampTracker:
         #: counter index -> timestamp reserved by a torn (non-atomic) stamp,
         #: to be handed to the *next* stamp on that counter.
         self._pending: Dict[int, int] = {}
+        #: counter index of every var stamped so far: the index depends
+        #: only on the var and ``num_counters``, and hashing it is most of
+        #: a stamp's cost
+        self._index_of: Dict[SyncVar, int] = {}
         self._rng = random.Random(seed)
         self.stamps_issued = 0
         self.inversions = 0
@@ -76,7 +80,9 @@ class TimestampTracker:
         no effect when the tracker is in atomic mode.
         """
         self.stamps_issued += 1
-        index = self.counter_index(var)
+        index = self._index_of.get(var)
+        if index is None:
+            index = self._index_of[var] = self.counter_index(var)
         pending = self._pending.pop(index, None)
         if pending is not None:
             # A torn earlier stamp reserved this (smaller) value; this later

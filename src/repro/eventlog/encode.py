@@ -265,10 +265,11 @@ def decode_log(data: bytes) -> EventLog:
 
 def encoded_size(log: EventLog) -> int:
     """Size in bytes of ``log`` on the wire, without materializing it."""
-    streams = log.per_thread()
+    # One section per thread that logged anything, as in encode_log.
+    sections = len({event.tid for event in log.events})
     return (
         _HEADER.size
-        + _SECTION.size * len(streams)
+        + _SECTION.size * sections
         + MEMORY_EVENT_BYTES * log.memory_count
         + SYNC_EVENT_BYTES * log.sync_count
     )

@@ -46,6 +46,16 @@ and hooks are observed in step order), so it is fixed:
 
 ``tests/test_executor_differential.py`` holds this contract to the
 generator-per-thread interpreter the cursor stack replaced.
+
+:meth:`Executor.run` runs the steps in slices.  A scheduler that hands over
+its preemption test (:meth:`~repro.runtime.scheduler.Scheduler.preemption`)
+is asked for a thread only when a slice starts; the executor then steps
+that thread until it finishes, blocks or the test fires, drawing the test
+itself between steps.  Every other scheduler gets one-step slices, so it
+still decides before every step.  Either way each step is the same
+``_step`` call, so the step contract does not change, and a policy decides
+the same interleaving from the same draws both ways
+(``tests/test_slice_parity.py``).
 """
 
 from __future__ import annotations
@@ -232,7 +242,6 @@ class Executor:
         self._mutexes: Dict[int, Mutex] = {}
         self._events: Dict[int, Event] = {}
         self._live_threads = 0
-        self._current: Optional[int] = None
         #: Blocks decoded once per executor into (handler, instr) pairs:
         #: function bodies with their slot counts by name, loop bodies by
         #: their Loop instruction.
@@ -593,8 +602,24 @@ class Executor:
     # Main loop
     # ------------------------------------------------------------------
     def run(self, entry_params: Tuple[int, ...] = ()) -> RunResult:
-        """Execute the program to completion; return the run's measurements."""
+        """Execute the program to completion; return the run's measurements.
+
+        Each pass of the outer loop runs one slice: the scheduler picks a
+        thread, which then steps until it finishes, blocks, or the
+        scheduler's preemption test fires (see
+        :meth:`~repro.runtime.scheduler.Scheduler.preemption`).  Without a
+        preemption test every slice is one step, so the scheduler decides
+        before every step.
+        """
         self._spawn(self.program.entry, entry_params)
+        next_thread = self.scheduler.next_thread
+        preemption = self.scheduler.preemption()
+        draw, switch_prob = (None, 0.0) if preemption is None else preemption
+        threads = self._threads
+        step = self._step
+        max_steps = self.max_steps
+        runnable_status = ThreadStatus.RUNNABLE
+        current: Optional[int] = None
         steps = 0
         while True:
             runnable = self._runnable
@@ -610,17 +635,25 @@ class Executor:
                         f"deadlock: threads {blocked} blocked, none runnable"
                     )
                 break  # all threads finished
-            tid = self.scheduler.next_thread(self._current, runnable)
-            thread = self._threads[tid]
-            self._current = tid
-            if self._step(thread):
-                self._finish_thread(thread)
-                self._current = None
-            steps += 1
-            if steps > self.max_steps:
-                raise ExecutionLimitError(
-                    f"exceeded max_steps={self.max_steps}"
-                )
+            current = next_thread(current, runnable)
+            thread = threads[current]
+            while True:
+                if step(thread):
+                    self._finish_thread(thread)
+                    current = None
+                steps += 1
+                if steps > max_steps:
+                    raise ExecutionLimitError(
+                        f"exceeded max_steps={max_steps}"
+                    )
+                # A blocked thread stays ``current``: the next decision
+                # sees it is no longer runnable.
+                if (draw is None or current is None
+                        or thread.status is not runnable_status):
+                    break
+                if draw() < switch_prob:
+                    current = None  # preempted: the draw is already spent
+                    break
         self.result.steps = steps
         return self.result
 

@@ -1,7 +1,11 @@
 """Thread interleaving policies.
 
-The executor consults a scheduler before every instruction to decide which
-runnable thread steps next.  All policies are deterministic functions of
+The executor asks a scheduler which runnable thread steps next.  A policy
+either decides before every step, or hands the executor its preemption test
+as data (:meth:`Scheduler.preemption`) and decides only when a slice starts:
+the executor then keeps stepping the chosen thread until it finishes,
+blocks or the test fires.  Both give the same decisions from the same RNG
+draws.  All policies are deterministic functions of
 their seed, so a (program, scheduler) pair fully determines the execution —
 including its logs and its data races.  The paper averages results over
 three runs precisely because interleavings vary; our experiments do the same
@@ -11,7 +15,7 @@ by varying the seed.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 __all__ = ["Scheduler", "RandomInterleaver", "RoundRobinScheduler"]
 
@@ -22,8 +26,10 @@ class Scheduler:
     def next_thread(self, current: Optional[int], runnable: Sequence[int]) -> int:
         """Return the tid (from ``runnable``, non-empty) to step next.
 
-        ``current`` is the tid that stepped last, or None if it just blocked
-        or finished (or at the very first step).
+        ``current`` is the tid that stepped last, or None if it just
+        finished, at the very first step, or right after a preemption (see
+        :meth:`preemption`).  A ``current`` that is not in ``runnable`` has
+        just blocked.
 
         The executor passes ``runnable`` as an immutable tuple of tids in
         ascending order, captured before the decision.  A thread woken while
@@ -34,6 +40,22 @@ class Scheduler:
         however many threads the run has ever spawned.
         """
         raise NotImplementedError
+
+    def preemption(self) -> Optional[Tuple[Callable[[], float], float]]:
+        """This policy's preemption test as data, or None.
+
+        None (the default) makes the executor ask :meth:`next_thread` before
+        every step.  A policy that keeps the thread that just stepped unless
+        a draw falls below a probability returns ``(draw, switch_prob)``.
+        The executor then asks :meth:`next_thread` only when a slice
+        starts, and steps the chosen thread with no scheduler call until it
+        finishes, blocks (or a gate parks it) or ``draw() < switch_prob``.
+        After that preemption it asks ``next_thread(None, runnable)``, which
+        must choose exactly as ``next_thread(current, runnable)`` would
+        have once its own draw fell below ``switch_prob``, without drawing
+        again.  A policy that must see every step keeps the default.
+        """
+        return None
 
     def fork_seed(self, index: int) -> "Scheduler":
         """A scheduler of the same policy with a derived seed (for re-runs).
@@ -63,6 +85,11 @@ class RandomInterleaver(Scheduler):
     This models an OS scheduler with occasional preemption plus the
     fine-grained nondeterminism of simultaneous multicore execution.  Lower
     ``switch_prob`` yields longer uninterrupted runs (coarser interleaving).
+
+    Each kept step costs one ``random()`` draw and each switch one
+    ``randrange``; :meth:`preemption` hands the executor that same draw, so
+    a run decided slice by slice consumes the RNG exactly as one decided
+    step by step.
     """
 
     def __init__(self, seed: int = 0, switch_prob: float = 0.05):
@@ -80,6 +107,9 @@ class RandomInterleaver(Scheduler):
         ):
             return current
         return runnable[self._rng.randrange(len(runnable))]
+
+    def preemption(self) -> Tuple[Callable[[], float], float]:
+        return self._rng.random, self.switch_prob
 
     def fork_seed(self, index: int) -> "RandomInterleaver":
         return RandomInterleaver(seed=self.seed * 1_000_003 + index + 1,

@@ -9,7 +9,8 @@ Data flow::
 
     clients ──frames──▶ connection threads ──▶ bounded ingest queue
         ──▶ dispatcher ──▶ owning worker's mp queue ──▶ detector workers
-        ──▶ result queue ──▶ collector ──▶ aggregator (dedup + persist)
+        ──▶ each worker's result pipe ──▶ its reader thread
+        ──▶ aggregator (dedup + persist)
 
 * **Backpressure**: the ingest queue is bounded; a SEGMENT frame is only
   ACKed once its payload clears the queue, so a flooded server slows its
@@ -30,7 +31,10 @@ Data flow::
   its pending (client, shard) pairs move to the least-loaded survivors
   (or a fresh replacement) and those clients' journals are replayed for
   the moved pairs only.  A torn client connection discards only that
-  client's pending state; the server never corrupts.
+  client's pending state; the server never corrupts.  Each worker answers
+  through a one-way pipe of its own, read by a thread of its own, so a
+  worker killed mid-write tears only its own channel: its reader sees EOF
+  or a torn message and exits, and every other worker keeps answering.
 * **Aggregation**: a client's shard reports are merged in shard order
   when its last one arrives, and the client is folded once into a running
   fleet report, deduplicated by PC pair: counts add, addresses union, and
@@ -94,16 +98,20 @@ _SNAPSHOT_FILE = "report.json"
 
 
 class _Worker:
-    """One detector process, its private input queue, and what it owes."""
+    """One detector process, its private input queue and result pipe, and
+    what it owes."""
 
-    __slots__ = ("worker_id", "process", "in_queue", "pending", "in_flight")
+    __slots__ = ("worker_id", "process", "in_queue", "results", "pending",
+                 "in_flight")
 
-    def __init__(self, worker_id: int, process, in_queue):
+    def __init__(self, worker_id: int, process, in_queue, results=None):
         #: unique per process, so a dead worker's late acks are told apart
         #: from those of a replacement spawned at the same index
         self.worker_id = worker_id
         self.process = process
         self.in_queue = in_queue
+        #: the read end of the worker's result pipe
+        self.results = results
         #: (client_id, shard_id) pairs owned here whose report has not
         #: arrived: the load that assignment balances
         self.pending: Set[Tuple[int, int]] = set()
@@ -115,6 +123,16 @@ class _Worker:
     @property
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
+
+
+class _ResultChannel:
+    """The write end of a worker's result pipe, with the ``put`` that
+    :func:`~repro.service.shard.worker_main` answers through."""
+
+    __slots__ = ("put",)
+
+    def __init__(self, connection):
+        self.put = connection.send
 
 
 class _ClientState:
@@ -185,7 +203,6 @@ class TelemetryServer:
         #: live workers by worker id; acks from any other id are ignored
         self._worker_by_id: Dict[int, _Worker] = {}
         self._next_worker_id = 0
-        self._result_queue = _MP.Queue()
         self._threads: List[threading.Thread] = []
         self._listeners: List[socket.socket] = []
         self._connections: set = set()
@@ -230,13 +247,14 @@ class TelemetryServer:
         # children never inherit a mid-operation lock.
         for index in range(self._num_workers):
             self._workers.append(self._spawn_worker(index))
+        for worker in self._workers:
+            self._start_reader(worker)
         for spec in self._address_specs:
             listener = bind_listener(spec)
             self._listeners.append(listener)
             self._start_thread(self._accept_loop, listener,
                                name=f"accept-{spec}")
         self._start_thread(self._dispatch_loop, name="dispatcher")
-        self._start_thread(self._collect_loop, name="collector")
         self._start_thread(self._supervise_loop, name="supervisor")
 
     @property
@@ -322,15 +340,18 @@ class TelemetryServer:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         in_queue = _MP.Queue()
+        results, writer = _MP.Pipe(duplex=False)
         process = _MP.Process(
             target=worker_main,
-            args=(worker_id, in_queue, self._result_queue, self.num_shards,
-                  self._alloc_as_sync),
+            args=(worker_id, in_queue, _ResultChannel(writer),
+                  self.num_shards, self._alloc_as_sync),
             daemon=True,
             name=f"repro-detector-{index}",
         )
         process.start()
-        worker = _Worker(worker_id, process, in_queue)
+        # The worker holds the only write end, so its exit reads as EOF.
+        writer.close()
+        worker = _Worker(worker_id, process, in_queue, results)
         self._worker_by_id[worker_id] = worker
         return worker
 
@@ -428,27 +449,32 @@ class TelemetryServer:
         for index in self._routes(state):
             self._workers[index].in_queue.put(("discard", state.client_id))
 
-    def _collect_loop(self) -> None:
-        while True:
-            try:
-                message = self._result_queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._stopping:
+    def _start_reader(self, worker: _Worker) -> None:
+        self._start_thread(self._read_results, worker.results,
+                           name=f"results-{worker.worker_id}")
+
+    def _read_results(self, results) -> None:
+        """Apply one worker's answers until its pipe ends: EOF once the
+        worker has exited, or a message torn by its death."""
+        try:
+            while True:
+                try:
+                    message = results.recv()
+                except (EOFError, OSError):
                     return
-                continue
-            except (EOFError, OSError):  # pragma: no cover - teardown race
-                return
-            with self._mu:
-                verb = message[0]
-                if verb == "ack":
-                    if self._segment_answered(message[1]):
-                        self._counters["events_analyzed"] += message[5]
-                elif verb == "report":
-                    _, _, client_id, shard_id, wire, _ = message
-                    self._on_shard_report(client_id, shard_id, wire)
-                elif verb == "error":
-                    self._counters["segment_errors"] += 1
-                    self._segment_answered(message[1])
+                with self._mu:
+                    verb = message[0]
+                    if verb == "ack":
+                        if self._segment_answered(message[1]):
+                            self._counters["events_analyzed"] += message[5]
+                    elif verb == "report":
+                        _, _, client_id, shard_id, wire, _ = message
+                        self._on_shard_report(client_id, shard_id, wire)
+                    elif verb == "error":
+                        self._counters["segment_errors"] += 1
+                        self._segment_answered(message[1])
+        finally:
+            results.close()
 
     def _segment_answered(self, worker_id: int) -> bool:
         """Retire the oldest segment in flight to ``worker_id``; False for
@@ -490,7 +516,7 @@ class TelemetryServer:
                 self._write_snapshot()
             except Exception:
                 # A failed snapshot (disk full, bad state_dir) must not
-                # kill the collector thread — the in-memory report is
+                # kill the reader thread — the in-memory report is
                 # intact and the next completion retries the write.
                 self._counters["snapshot_errors"] += 1
             # Only now, with the snapshot on disk, may END be answered.
@@ -545,6 +571,7 @@ class TelemetryServer:
             # Last worker standing died: spawn a replacement with a fresh
             # queue (the old queue's in-flight items are covered by replay).
             self._workers[index] = self._spawn_worker(index)
+            self._start_reader(self._workers[index])
             survivors = [index]
         moved: Dict[int, Dict[int, Tuple[int, ...]]] = {}
         for client_id, shard_id in lost:

@@ -18,6 +18,12 @@ mask stack there, and a return reported one instruction late puts the
 wrong sampler mask on the next memory event.  ``MARKED_GOLDEN`` pins
 ``run_marked`` over every sampler of the paper's figures on the same
 executions, event by event with masks, plus every ``RunResult`` field.
+
+Every digested run wraps its policy in a ``RecordingScheduler``, which the
+executor asks before every step.  A bare ``RandomInterleaver`` hands the
+executor its preemption test and is asked only when a slice starts, so the
+``slices`` tests re-run each random case bare and require the same bytes
+(``tests/test_slice_parity.py`` does the same on every workload).
 """
 
 from __future__ import annotations
@@ -123,33 +129,46 @@ def _event_rows(log) -> list:
             for e in log.events]
 
 
-def digest(workload: str, sampler: str, policy: str) -> str:
-    """sha256 of one profiled-and-analyzed execution."""
+def profiled(workload: str, sampler: str, scheduler) -> list:
+    """One profiled-and-analyzed execution as bytes: both log formats, then
+    the counters, merge count, log size and report."""
     program = workloads.build(workload, seed=SEED, scale=SCALE)
-    recorder = RecordingScheduler(POLICIES[policy]())
-    result = LiteRace(sampler=sampler, seed=SEED).run(program, recorder)
-    counters = _counters(result.run)
-    h = hashlib.sha256()
-    h.update(array("I", recorder.decisions).tobytes())
+    result = LiteRace(sampler=sampler, seed=SEED).run(program, scheduler)
     # Both formats by number, so a new encode_log default moves nothing;
     # v2 also keeps the global event order, which v1 does not record.
-    h.update(encode_log(result.log, version=1))
-    h.update(encode_log(result.log, version=2))
-    h.update(json.dumps([counters, result.merge_inconsistencies,
-                         result.log_bytes, _report_rows(result.report)],
-                        sort_keys=True).encode("utf-8"))
+    return [encode_log(result.log, version=1),
+            encode_log(result.log, version=2),
+            json.dumps([_counters(result.run), result.merge_inconsistencies,
+                        result.log_bytes, _report_rows(result.report)],
+                       sort_keys=True).encode("utf-8")]
+
+
+def marked(workload: str, scheduler) -> bytes:
+    """One §5.3 marked execution as bytes: masked log, counters."""
+    program = workloads.build(workload, seed=SEED, scale=SCALE)
+    run = run_marked(program, SAMPLER_ORDER, scheduler, seed=SEED)
+    return json.dumps([_event_rows(run.log), _counters(run.run)],
+                      sort_keys=True).encode("utf-8")
+
+
+def digest(workload: str, sampler: str, policy: str) -> str:
+    """sha256 of one profiled-and-analyzed execution."""
+    recorder = RecordingScheduler(POLICIES[policy]())
+    parts = profiled(workload, sampler, recorder)
+    h = hashlib.sha256()
+    h.update(array("I", recorder.decisions).tobytes())
+    for part in parts:
+        h.update(part)
     return h.hexdigest()
 
 
 def marked_digest(workload: str, policy: str) -> str:
     """sha256 of one §5.3 marked execution: decisions, masked log, counters."""
-    program = workloads.build(workload, seed=SEED, scale=SCALE)
     recorder = RecordingScheduler(POLICIES[policy]())
-    marked = run_marked(program, SAMPLER_ORDER, recorder, seed=SEED)
+    body = marked(workload, recorder)
     h = hashlib.sha256()
     h.update(array("I", recorder.decisions).tobytes())
-    h.update(json.dumps([_event_rows(marked.log), _counters(marked.run)],
-                        sort_keys=True).encode("utf-8"))
+    h.update(body)
     return h.hexdigest()
 
 
@@ -166,6 +185,23 @@ def test_execution_matches_golden_digest(case):
 @pytest.mark.parametrize("case", MARKED_CASES)
 def test_marked_execution_matches_golden_digest(case):
     assert marked_digest(*case.split("/")) == MARKED_GOLDEN[case]
+
+
+RANDOM_CASES = [f"{w}/{s}" for w in WORKLOADS for s in SAMPLERS]
+
+
+@pytest.mark.parametrize("case", RANDOM_CASES)
+def test_slices_run_the_recorded_execution(case):
+    workload, sampler = case.split("/")
+    recorded = profiled(workload, sampler,
+                        RecordingScheduler(POLICIES["random"]()))
+    assert profiled(workload, sampler, POLICIES["random"]()) == recorded
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_slices_run_the_recorded_marked_execution(workload):
+    recorded = marked(workload, RecordingScheduler(POLICIES["random"]()))
+    assert marked(workload, POLICIES["random"]()) == recorded
 
 
 if __name__ == "__main__":  # pragma: no cover - regenerates the tables

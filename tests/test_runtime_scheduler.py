@@ -1,7 +1,11 @@
 """Tests for the interleaving schedulers."""
 
+import random
+
 from repro.runtime.chaos import ChaosScheduler
-from repro.runtime.scheduler import RandomInterleaver, RoundRobinScheduler
+from repro.runtime.scheduler import (RandomInterleaver, RoundRobinScheduler,
+                                     Scheduler)
+from repro.validate.trace import RecordingScheduler
 
 import pytest
 
@@ -71,12 +75,57 @@ class TestRandomInterleaver:
         with pytest.raises(ValueError):
             RandomInterleaver(0, switch_prob=1.5)
 
+    def test_preemption_hands_out_the_keep_draw(self):
+        s = RandomInterleaver(5, switch_prob=0.3)
+        reference = random.Random(5)
+        draw, switch_prob = s.preemption()
+        # Asking for the rule draws nothing.
+        assert s._rng.getstate() == reference.getstate()
+        assert switch_prob == 0.3
+        assert draw() == reference.random()
+        # After a preemption the executor asks with current=None: one
+        # randrange for the pick, no second random().
+        runnable = (2, 4, 7)
+        assert s.next_thread(None, runnable) == runnable[
+            reference.randrange(len(runnable))]
+        assert s._rng.getstate() == reference.getstate()
+
+    def test_slice_decisions_equal_step_decisions(self):
+        # What the executor does with the rule — keep ``current`` while
+        # draw() >= switch_prob, else ask next_thread(None, ...) — picks the
+        # same threads from the same draws as asking before every step.
+        for switch_prob in (0.0, 0.05, 0.5, 1.0):
+            stepped = RandomInterleaver(9, switch_prob=switch_prob)
+            sliced = RandomInterleaver(9, switch_prob=switch_prob)
+            draw, prob = sliced.preemption()
+            current = None
+            for step in range(400):
+                runnable = tuple(t for t in range(5) if (t + step) % 7)
+                expected = stepped.next_thread(current, runnable)
+                if current is not None and current in runnable:
+                    got = current if draw() >= prob else \
+                        sliced.next_thread(None, runnable)
+                else:
+                    got = sliced.next_thread(current, runnable)
+                assert got == expected
+                current = expected
+            assert sliced._rng.getstate() == stepped._rng.getstate()
+
     def test_fork_seed_derives_new_policy(self):
         s = RandomInterleaver(1, switch_prob=0.2)
         child = s.fork_seed(3)
         assert isinstance(child, RandomInterleaver)
         assert child.switch_prob == 0.2
         assert child.seed != s.seed
+
+
+def test_other_policies_decide_before_every_step():
+    # They keep the default; so does a wrapper around a RandomInterleaver,
+    # which the golden digests rely on to record every step's decision.
+    assert Scheduler().preemption() is None
+    assert RoundRobinScheduler(quantum=3).preemption() is None
+    assert ChaosScheduler(seed=1).preemption() is None
+    assert RecordingScheduler(RandomInterleaver(1)).preemption() is None
 
 
 class TestRoundRobin:

@@ -13,6 +13,7 @@ the live harness sink.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import queue
@@ -22,9 +23,11 @@ import struct
 import subprocess
 import sys
 import tempfile
+import termios
 import textwrap
 import threading
 import time
+from array import array
 
 import pytest
 
@@ -457,6 +460,63 @@ class TestRobustness:
             if shards == 1:
                 assert body["report"] == offline_wire(log_b)
 
+    def test_worker_killed_mid_write_silences_no_other_worker(
+            self, fleet_logs):
+        """A worker killed while blocked writing to its full result channel
+        takes only that channel with it.  The test holds the server lock,
+        so the worker's reader cannot drain, until the channel stops
+        filling, then SIGKILLs the worker; the survivor must still answer
+        both the orphaned client and the next one."""
+        _, log_b = fleet_logs
+        frame = encode_segment([MemoryEvent(0, 0x10, 1, True)])
+        address = f"unix:{short_socket_path()}"
+        with TelemetryServer([address], workers=2,
+                             finalize_timeout=20) as server:
+            flood = TelemetryClient(address).connect()
+            flood.hello("flood")
+            victim = server._workers[0]
+            results = victim.results.fileno()
+            capacity = fcntl.fcntl(results, fcntl.F_GETPIPE_SZ)
+            # Each ack takes well over 16 bytes of the channel.
+            segments = capacity // 16
+            os.kill(victim.process.pid, signal.SIGSTOP)
+            for _ in range(segments):
+                flood.send_segment(frame)
+            wait_for(lambda: len(victim.in_flight) == segments,
+                     "every segment to be routed to the stopped worker")
+
+            levels = []
+
+            def channel_full() -> bool:
+                # Full once the fill level holds still above half the
+                # capacity for 0.3 s: the worker is blocked mid-write.
+                count = array("i", [0])
+                fcntl.ioctl(results, termios.FIONREAD, count)
+                levels.append(count[0])
+                recent = levels[-16:]
+                return (len(recent) == 16 and len(set(recent)) == 1
+                        and recent[0] > capacity // 2)
+
+            with server._mu:
+                os.kill(victim.process.pid, signal.SIGCONT)
+                wait_for(channel_full, "the worker's result channel to fill",
+                         timeout=30)
+                victim.process.kill()
+                victim.process.join(timeout=10)
+            wait_for(lambda: server.status()["worker_failures"] == 1,
+                     "the supervisor to notice the killed worker")
+            with TelemetryClient(address) as client:
+                result = client.submit_log(log_b, segment_events=16)
+            ack = flood.end_log(segments)
+            body = flood.report()
+            status = flood.status()
+            flood.close()
+        assert result.races == offline_reference(log_b).num_static
+        assert ack["races"] == 0
+        assert status["clients_completed"] == 2
+        assert status["clients_aborted"] == 0
+        assert body["report"] == offline_wire(log_b)
+
     @pytest.mark.parametrize("shards", [None, 2])
     def test_shard_lag_recovers_after_worker_dies_with_backlog(
             self, fleet_logs, shards):
@@ -685,8 +745,9 @@ class TestRobustness:
                 raise OSError("disk full")
 
             monkeypatch.setattr(server, "_write_snapshot", boom)
-            # Both submissions complete: the collector thread survives the
-            # failed snapshot writes and keeps processing shard reports.
+            # Both submissions complete: the worker's reader thread
+            # survives the failed snapshot writes and keeps processing
+            # shard reports.
             with TelemetryClient(address) as client:
                 first = client.submit_log(log_a, segment_events=16)
             with TelemetryClient(address) as client:
