@@ -833,8 +833,10 @@ def main(argv=None) -> int:
                               "decodes every frame and replays every "
                               "sync event)")
     serve_p.add_argument("--queue-depth", type=int, default=64,
-                         help="bounded ingest queue length — the "
-                              "backpressure knob (default 64)")
+                         help="segments in flight per worker (sent and "
+                              "not yet analyzed) before a client's next "
+                              "SEGMENT waits — the backpressure knob "
+                              "(default 64)")
     serve_p.add_argument("--state-dir", default=None,
                          help="persist the rolling fleet report here and "
                               "reload it on restart")

@@ -6,7 +6,9 @@ races centrally.  This package is that serving layer for the reproduction:
 
 * :class:`TelemetryServer` — a daemon (``repro serve``) accepting framed
   log segments from many concurrent clients over Unix or TCP sockets, with
-  bounded-queue backpressure, a pool of detector worker *processes* sharded
+  backpressure (at most ``queue_depth`` segments in flight per worker
+  before a client's next segment waits), a pool of detector worker
+  *processes* sharded
   by address range, crash-tolerant journal replay, and a deduplicating
   aggregator with a ``status``/report endpoint.
 * :class:`TelemetryClient` — the wire client (``repro submit``), plus

@@ -8,9 +8,10 @@ Control frames (HELLO, END, STATUS, REPORT, and all responses) carry JSON
 payloads; SEGMENT frames carry one binary segment
 (:mod:`repro.eventlog.segment`) verbatim, so the hot ingest path never
 touches JSON.  The server answers every request frame — SEGMENT with ACK
-once the segment has cleared the bounded ingest queue, which is how
-backpressure reaches the client: a slow server simply stops draining the
-socket and the client's next send blocks.
+once the segment is journaled and written into the input pipes of the
+workers that own the client, which is how backpressure reaches the
+client: while an owner has ``--queue-depth`` segments unanswered, the
+server holds the ACK back, and the client's next send waits for it.
 
 Frame types::
 

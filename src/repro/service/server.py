@@ -7,14 +7,18 @@ the whole fleet by PC pair.
 
 Data flow::
 
-    clients ──frames──▶ connection threads ──▶ bounded ingest queue
-        ──▶ dispatcher ──▶ owning worker's mp queue ──▶ detector workers
-        ──▶ each worker's result pipe ──▶ its reader thread
-        ──▶ aggregator (dedup + persist)
+    clients ──frames──▶ connection threads (journal) ──▶ each owning
+        worker's input pipe ──▶ detector workers ──▶ each worker's
+        result pipe ──▶ its reader thread ──▶ aggregator (dedup + persist)
 
-* **Backpressure**: the ingest queue is bounded; a SEGMENT frame is only
-  ACKed once its payload clears the queue, so a flooded server slows its
-  clients instead of growing without bound.
+* **Backpressure**: at most ``queue_depth`` segments are in flight (sent
+  and not yet answered) to each worker.  The connection thread that read
+  a SEGMENT waits while an owner is at that cap, writes the segment into
+  the owners' pipes itself, and only then ACKs it, so a worker that
+  falls behind slows its clients instead of the daemon growing without
+  bound.  A pipe is only ever written outside the server lock: a worker
+  blocked on a full result pipe stops reading its input until its reader
+  thread, which needs the lock, drains it.
 * **Assignment**: ``num_shards`` logical shards partition each client's
   address space (:func:`repro.service.shard.shard_of`).  At HELLO every
   (client, shard) pair goes to the worker with the fewest pending pairs
@@ -26,15 +30,18 @@ Data flow::
   workers run different clients in parallel; more shards split one
   client's addresses across workers, at the price of each shard
   decoding every frame and replaying every sync event.
-* **Crash tolerance**: the dispatcher journals every segment before
-  routing it.  A supervisor watches the workers; when one dies exactly
-  its pending (client, shard) pairs move to the least-loaded survivors
-  (or a fresh replacement) and those clients' journals are replayed for
-  the moved pairs only.  A torn client connection discards only that
-  client's pending state; the server never corrupts.  Each worker answers
-  through a one-way pipe of its own, read by a thread of its own, so a
-  worker killed mid-write tears only its own channel: its reader sees EOF
-  or a torn message and exits, and every other worker keeps answering.
+* **Crash tolerance**: the connection thread journals every segment
+  before writing it.  A supervisor watches the workers; when one dies
+  exactly its pending (client, shard) pairs move to the least-loaded
+  survivors (or a fresh replacement) and those clients' journals are
+  replayed for the moved pairs only; a moved client's next frame waits
+  until its replay is written.  A write that finds its worker dead is
+  dropped, since the replay covers it.  A torn client connection discards
+  only that client's pending state; the server never corrupts.  Each
+  worker answers through a one-way pipe of its own, read by a thread of
+  its own, so a worker killed mid-write tears only its own channel: its
+  reader sees EOF or a torn message and exits, and every other worker
+  keeps answering.
 * **Aggregation**: a client's shard reports are merged in shard order
   when its last one arrives, and the client is folded once into a running
   fleet report, deduplicated by PC pair: counts add, addresses union, and
@@ -52,7 +59,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue
 import socket
 import threading
 import time
@@ -98,26 +104,32 @@ _SNAPSHOT_FILE = "report.json"
 
 
 class _Worker:
-    """One detector process, its private input queue and result pipe, and
-    what it owes."""
+    """One detector process, its input and result pipes, and what it
+    owes."""
 
-    __slots__ = ("worker_id", "process", "in_queue", "results", "pending",
-                 "in_flight")
+    __slots__ = ("worker_id", "process", "in_queue", "send_lock", "results",
+                 "pending", "in_flight")
 
     def __init__(self, worker_id: int, process, in_queue, results=None):
         #: unique per process, so a dead worker's late acks are told apart
         #: from those of a replacement spawned at the same index
         self.worker_id = worker_id
         self.process = process
+        #: the write end of the worker's input pipe; see _post
         self.in_queue = in_queue
+        #: held for each message written to in_queue, so that concurrent
+        #: writers never interleave their bytes on the pipe
+        self.send_lock = threading.Lock()
         #: the read end of the worker's result pipe
         self.results = results
         #: (client_id, shard_id) pairs owned here whose report has not
         #: arrived: the load that assignment balances
         self.pending: Set[Tuple[int, int]] = set()
-        #: shard ids of each segment sent here and not yet acked, in send
-        #: order; the worker answers every segment with one ack or error,
-        #: in the same order
+        #: shard ids of each segment sent here and not yet answered, whose
+        #: count the cap bounds; the worker answers every segment with one
+        #: ack or error, in pipe order.  Entries are added before the
+        #: write, so two clients' frames can reach the pipe in the other
+        #: order: the count is exact, the shard of an entry may lag.
         self.in_flight: Deque[Tuple[int, ...]] = deque()
 
     @property
@@ -125,14 +137,31 @@ class _Worker:
         return self.process is not None and self.process.is_alive()
 
 
-class _ResultChannel:
-    """The write end of a worker's result pipe, with the ``put`` that
-    :func:`~repro.service.shard.worker_main` answers through."""
+class _PipeEnd:
+    """One end of a one-way pipe, with the ``put`` and ``get`` of a queue:
+    what :func:`~repro.service.shard.worker_main` reads its messages from
+    and answers through."""
 
-    __slots__ = ("put",)
+    __slots__ = ("put", "get", "close")
 
     def __init__(self, connection):
         self.put = connection.send
+        self.get = connection.recv
+        self.close = connection.close
+
+
+def _run_worker(worker_id: int, inbox, results, inherited_writers,
+                num_shards: int, alloc_as_sync: bool) -> None:
+    """A detector process: close the input-pipe write ends the fork copied
+    in, so that the server closing its own end reads here as EOF (the
+    signal to stop), then run the worker loop."""
+    for writer in inherited_writers:
+        try:
+            writer.close()
+        except OSError:
+            pass
+    worker_main(worker_id, _PipeEnd(inbox), _PipeEnd(results), num_shards,
+                alloc_as_sync)
 
 
 class _ClientState:
@@ -141,7 +170,8 @@ class _ClientState:
     connection keeps it after that."""
 
     __slots__ = ("client_id", "name", "journal", "enqueued", "ended",
-                 "aborted", "owners", "shard_reports", "report", "completed")
+                 "aborted", "replaying", "owners", "shard_reports", "report",
+                 "completed")
 
     def __init__(self, client_id: int, name: str):
         self.client_id = client_id
@@ -154,6 +184,9 @@ class _ClientState:
         #: END has been routed to the owners
         self.ended = False
         self.aborted = False
+        #: the supervisor is writing this client's journal to new owners;
+        #: the client's next frame waits for that
+        self.replaying = False
         #: worker index owning each shard of this client, by shard id
         self.owners: List[int] = []
         self.shard_reports: Dict[int, RaceReport] = {}
@@ -185,6 +218,8 @@ class TelemetryServer:
         self.num_shards = shards if shards is not None else 1
         if self.num_shards < 1:
             raise ValueError("shards must be >= 1")
+        if queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
         self._address_specs = list(addresses)
         self._num_workers = workers
         self._queue_depth = queue_depth
@@ -195,10 +230,12 @@ class TelemetryServer:
         self._finalize_timeout = finalize_timeout
 
         self._mu = threading.RLock()
+        #: notified when a worker's in-flight segments drop, a replay is
+        #: written, or the server stops
+        self._room = threading.Condition(self._mu)
         #: clients between HELLO and completion or abort, by id
         self._clients: Dict[int, _ClientState] = {}
         self._next_client_id = 1
-        self._ingest: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self._workers: List[_Worker] = []
         #: live workers by worker id; acks from any other id are ignored
         self._worker_by_id: Dict[int, _Worker] = {}
@@ -254,7 +291,6 @@ class TelemetryServer:
             self._listeners.append(listener)
             self._start_thread(self._accept_loop, listener,
                                name=f"accept-{spec}")
-        self._start_thread(self._dispatch_loop, name="dispatcher")
         self._start_thread(self._supervise_loop, name="supervisor")
 
     @property
@@ -282,6 +318,8 @@ class TelemetryServer:
             if self._stopping:
                 return
             self._stopping = True
+            # Connection threads waiting for room give up.
+            self._room.notify_all()
         self.shutdown_requested.set()
         for listener in self._listeners:
             # close() alone does not wake a thread blocked in accept();
@@ -305,18 +343,22 @@ class TelemetryServer:
                 conn.close()
             except OSError:
                 pass
+        # EOF on its input stops a worker once it has analyzed what the
+        # pipe still holds.  A thread blocked writing to a stopped worker's
+        # full pipe keeps that pipe's send lock until the worker is killed
+        # below, so that pipe stays open.
         for worker in self._workers:
-            if worker.alive:
-                try:
-                    worker.in_queue.put(("stop",))
-                except (ValueError, OSError):
-                    pass
+            self._close_input(worker)
+        deadline = time.monotonic() + 2.0
         for worker in self._workers:
             if worker.process is not None:
-                worker.process.join(timeout=2.0)
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(timeout=1.0)
+                worker.process.join(
+                    timeout=max(deadline - time.monotonic(), 0.0))
+        for worker in self._workers:
+            if worker.process is not None and worker.process.is_alive():
+                # SIGKILL: SIGTERM may not end a SIGSTOPped worker.
+                worker.process.kill()
+                worker.process.join(timeout=1.0)
         for thread in self._threads:
             thread.join(timeout=2.0)
         # Unix socket files are not removed by close().
@@ -339,19 +381,23 @@ class TelemetryServer:
     def _spawn_worker(self, index: int) -> _Worker:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        in_queue = _MP.Queue()
+        inbox, sender = _MP.Pipe(duplex=False)
         results, writer = _MP.Pipe(duplex=False)
         process = _MP.Process(
-            target=worker_main,
-            args=(worker_id, in_queue, _ResultChannel(writer),
+            target=_run_worker,
+            args=(worker_id, inbox, writer,
+                  [sender] + [w.in_queue for w in self._workers],
                   self.num_shards, self._alloc_as_sync),
             daemon=True,
             name=f"repro-detector-{index}",
         )
         process.start()
-        # The worker holds the only write end, so its exit reads as EOF.
+        # The worker holds the only read end of its input and the only
+        # write end of its results: a write to it once it is dead fails,
+        # and its exit reads as EOF.
+        inbox.close()
         writer.close()
-        worker = _Worker(worker_id, process, in_queue, results)
+        worker = _Worker(worker_id, process, _PipeEnd(sender), results)
         self._worker_by_id[worker_id] = worker
         return worker
 
@@ -374,11 +420,35 @@ class TelemetryServer:
             routes[index] = routes.get(index, ()) + (shard_id,)
         return routes
 
-    def _send_segment(self, index: int, client_id: int, seq: int,
-                      shard_ids: Tuple[int, ...], payload: bytes) -> None:
-        worker = self._workers[index]
-        worker.in_queue.put(("segment", client_id, seq, shard_ids, payload))
-        worker.in_flight.append(shard_ids)
+    def _post(self, sends: List[Tuple[_Worker, tuple]]) -> None:
+        """Write each message into its worker's input pipe, in order.
+
+        Never call this holding _mu: a write blocks while the pipe is full,
+        and a worker blocked on its own full result pipe reads no input
+        until its reader thread, which needs _mu, drains that.  A write to
+        a dead worker fails and is dropped: whoever takes over its pairs
+        replays the client's journal, this frame included."""
+        for worker, message in sends:
+            with worker.send_lock:
+                try:
+                    worker.in_queue.put(message)
+                except OSError:
+                    pass
+
+    def _close_input(self, worker: _Worker) -> None:
+        """Close the server's end of a worker's input pipe, unless a writer
+        blocked on it holds it for longer than half a second."""
+        if worker.send_lock.acquire(timeout=0.5):
+            try:
+                worker.in_queue.close()
+            finally:
+                worker.send_lock.release()
+
+    def _await_replay(self, state: _ClientState) -> None:
+        """Wait until no replay of the client is being written (held
+        _mu)."""
+        while state.replaying and not self._stopping:
+            self._room.wait()
 
     # -- service threads ---------------------------------------------------
     def _start_thread(self, target, *args, name: str) -> None:
@@ -403,51 +473,57 @@ class TelemetryServer:
                                       name="telemetry-conn")
             thread.start()
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            try:
-                item = self._ingest.get(timeout=0.1)
-            except queue.Empty:
+    def _route_segment(self, state: _ClientState, seq: int,
+                       payload: bytes) -> bool:
+        """Journal a pending client's segment and write it to the client's
+        owners once each has fewer than ``queue_depth`` segments in
+        flight: the backpressure point.  False if the server stopped
+        first."""
+        with self._mu:
+            while True:
                 if self._stopping:
-                    return
-                continue
-            with self._mu:
-                verb = item[0]
-                if verb == "segment":
-                    _, client_id, seq, payload = item
-                    self._route_segment(client_id, seq, payload)
-                elif verb == "end":
-                    self._route_end(item[1])
-                elif verb == "discard":
-                    self._route_discard(item[1])
-
-    def _route_segment(self, client_id: int, seq: int,
-                       payload: bytes) -> None:
-        state = self._clients.get(client_id)
-        if state is None:
-            return
-        assert seq == len(state.journal), "segments out of order"
-        state.journal.append(payload)
-        # An owner that died unnoticed still gets the segment: the
-        # supervisor replays the journal to whoever takes its pairs over.
-        for index, shard_ids in self._routes(state).items():
-            self._send_segment(index, client_id, seq, shard_ids, payload)
+                    return False
+                routes = self._routes(state)
+                if not state.replaying and all(
+                        len(self._workers[index].in_flight)
+                        < self._queue_depth for index in routes):
+                    break
+                self._room.wait()
+            assert seq == len(state.journal), "segments out of order"
+            state.journal.append(payload)
+            self._counters["segments_ingested"] += 1
+            self._counters["bytes_ingested"] += len(payload)
+            sends = []
+            for index, shard_ids in routes.items():
+                worker = self._workers[index]
+                worker.in_flight.append(shard_ids)
+                sends.append((worker, ("segment", state.client_id, seq,
+                                       shard_ids, payload)))
+        self._post(sends)
+        return True
 
     def _route_end(self, client_id: int) -> None:
-        state = self._clients.get(client_id)
-        if state is None:
-            return
-        state.ended = True
-        for index, shard_ids in self._routes(state).items():
-            self._workers[index].in_queue.put(
-                ("finalize", client_id, shard_ids))
+        """Send a pending client's finalize to its owners, behind its
+        segments."""
+        with self._mu:
+            state = self._clients.get(client_id)
+            if state is None:
+                return
+            self._await_replay(state)
+            state.ended = True
+            sends = [(self._workers[index], ("finalize", client_id, shard_ids))
+                     for index, shard_ids in self._routes(state).items()]
+        self._post(sends)
 
     def _route_discard(self, state: _ClientState) -> None:
-        """Tell an aborted client's owners to drop it.  This goes through
-        the ingest queue, behind the client's last segments, so no owner
-        sees a segment of the client after its discard."""
-        for index in self._routes(state):
-            self._workers[index].in_queue.put(("discard", state.client_id))
+        """Tell an aborted client's owners to drop it, behind its last
+        segments and any replay of them, so no owner sees a segment of the
+        client after its discard."""
+        with self._mu:
+            self._await_replay(state)
+            sends = [(self._workers[index], ("discard", state.client_id))
+                     for index in self._routes(state)]
+        self._post(sends)
 
     def _start_reader(self, worker: _Worker) -> None:
         self._start_thread(self._read_results, worker.results,
@@ -484,6 +560,7 @@ class TelemetryServer:
         if worker is None or not worker.in_flight:
             return False
         worker.in_flight.popleft()
+        self._room.notify_all()
         return True
 
     def _on_shard_report(self, client_id: int, shard_id: int,
@@ -541,27 +618,40 @@ class TelemetryServer:
     def _supervise_loop(self) -> None:
         while not self._stopping:
             time.sleep(0.15)
+            dead: List[_Worker] = []
+            replaying: List[_ClientState] = []
+            sends: List[Tuple[_Worker, tuple]] = []
             with self._mu:
                 if self._stopping:
                     return
                 for index, worker in enumerate(self._workers):
                     if worker.process is not None and not worker.alive:
-                        self._on_worker_death(index)
+                        dead.append(worker)
+                        self._on_worker_death(index, replaying, sends)
+            for worker in dead:
+                self._close_input(worker)
+            if replaying:
+                self._post(sends)
+                with self._mu:
+                    for state in replaying:
+                        state.replaying = False
+                    self._room.notify_all()
 
-    def _on_worker_death(self, index: int) -> None:
-        """Move a dead worker's pending pairs to the least-loaded survivors
-        and replay those clients' journals to them (held _mu)."""
+    def _on_worker_death(self, index: int, replaying: List[_ClientState],
+                         sends: List[Tuple[_Worker, tuple]]) -> None:
+        """Move a dead worker's pending pairs to the least-loaded survivors,
+        mark their clients as replaying, and add the messages that replay
+        those clients' journals to ``sends``, for the caller to write once
+        it has released _mu (held _mu)."""
         self._counters["worker_failures"] += 1
         dead = self._workers[index]
         dead.process.join(timeout=1.0)
         dead.process = None
-        # Its un-acked segments will never be acked: write them off.
+        # Its un-acked segments will never be acked: write them off, and
+        # wake the connection threads waiting for it to make room.
         del self._worker_by_id[dead.worker_id]
         dead.in_flight.clear()
-        # Nothing reads its queue any more, and the journal replays what it
-        # held; a feeder thread blocked on the full pipe must not hold up
-        # this process's exit.
-        dead.in_queue.cancel_join_thread()
+        self._room.notify_all()
         # Pending pairs are exactly those whose report has not arrived and
         # whose client is neither completed nor aborted.
         lost = sorted(dead.pending)
@@ -569,7 +659,7 @@ class TelemetryServer:
         survivors = self._live_worker_indices()
         if not survivors:
             # Last worker standing died: spawn a replacement with a fresh
-            # queue (the old queue's in-flight items are covered by replay).
+            # pipe (what the old pipe held is covered by replay).
             self._workers[index] = self._spawn_worker(index)
             self._start_reader(self._workers[index])
             survivors = [index]
@@ -581,13 +671,16 @@ class TelemetryServer:
             by_owner[owner] = by_owner.get(owner, ()) + (shard_id,)
         for client_id, by_owner in moved.items():
             state = self._clients[client_id]
+            state.replaying = True
+            replaying.append(state)
             for owner, shard_ids in by_owner.items():
+                worker = self._workers[owner]
                 for seq, payload in enumerate(state.journal):
-                    self._send_segment(owner, client_id, seq, shard_ids,
-                                       payload)
+                    worker.in_flight.append(shard_ids)
+                    sends.append((worker, ("segment", client_id, seq,
+                                           shard_ids, payload)))
                 if state.ended:
-                    self._workers[owner].in_queue.put(
-                        ("finalize", client_id, shard_ids))
+                    sends.append((worker, ("finalize", client_id, shard_ids)))
 
     # -- connections -------------------------------------------------------
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -628,7 +721,7 @@ class TelemetryServer:
                 if mid_stream:
                     self._abort(state)
             if mid_stream:
-                self._ingest.put(("discard", state))
+                self._route_discard(state)
             try:
                 conn.close()
             except OSError:
@@ -668,11 +761,8 @@ class TelemetryServer:
                 return state, False
             seq = state.enqueued
             state.enqueued += 1
-            # Blocking put — this is the backpressure point; no lock held.
-            self._ingest.put(("segment", state.client_id, seq, payload))
-            with self._mu:
-                self._counters["segments_ingested"] += 1
-                self._counters["bytes_ingested"] += len(payload)
+            if not self._route_segment(state, seq, payload):
+                return state, True
             send_json(conn, T_ACK, {"seq": seq})
             return state, False
 
@@ -696,7 +786,7 @@ class TelemetryServer:
                     conn, f"END claims {expected} segments, "
                           f"server saw {state.enqueued}")
                 return state, False
-            self._ingest.put(("end", state.client_id))
+            self._route_end(state.client_id)
             if not state.completed.wait(timeout=self._finalize_timeout):
                 with self._mu:
                     # Re-check under the lock: completion may have landed
@@ -709,7 +799,7 @@ class TelemetryServer:
                         # retried.
                         self._abort(state)
                 if timed_out:
-                    self._ingest.put(("discard", state))
+                    self._route_discard(state)
                     send_json(conn, T_ERR, {"error": "finalize timed out"})
                     return state, False
             # Completion set state.report before it set the event.
@@ -795,7 +885,7 @@ class TelemetryServer:
 
     def _abort(self, state: _ClientState) -> None:
         """Give up on a client that will never complete (held _mu).  The
-        caller then queues a ``discard`` for its owners."""
+        caller then sends its owners a ``discard`` (_route_discard)."""
         state.aborted = True
         state.journal.clear()
         del self._clients[state.client_id]
@@ -830,7 +920,9 @@ class TelemetryServer:
             uptime = max(time.monotonic() - self._start_time, 1e-9)
             counters = dict(self._counters)
             lag = [0] * self.num_shards
+            in_flight = 0
             for worker in self._workers:
+                in_flight += len(worker.in_flight)
                 for shard_ids in worker.in_flight:
                     for shard_id in shard_ids:
                         lag[shard_id] += 1
@@ -838,7 +930,8 @@ class TelemetryServer:
                 **counters,
                 "uptime_s": round(uptime, 3),
                 "bytes_per_s": round(counters["bytes_ingested"] / uptime, 1),
-                "queue_depth": self._ingest.qsize(),
+                # segments in flight on all workers, and the cap per worker
+                "queue_depth": in_flight,
                 "queue_capacity": self._queue_depth,
                 "num_shards": self.num_shards,
                 "workers_alive": len(self._live_worker_indices()),

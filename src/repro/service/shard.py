@@ -108,6 +108,9 @@ def worker_main(worker_id: int, in_queue, out_queue, num_shards: int,
         ("discard", client_id)
         ("stop",)
 
+    End of input on a pipe (the server closed its write end) stops the
+    loop as ``("stop",)`` does.
+
     Messages out::
 
         ("ack", worker_id, client_id, seq, shard_ids, event_count)
@@ -132,7 +135,10 @@ def worker_main(worker_id: int, in_queue, out_queue, num_shards: int,
         return state
 
     while True:
-        message = in_queue.get()
+        try:
+            message = in_queue.get()
+        except (EOFError, OSError):
+            break  # the server closed its end of the pipe
         verb = message[0]
         if verb == "stop":
             break

@@ -12,9 +12,9 @@ and without a program and suppressions, the REPORT body and the
 ``report.json`` bytes must be the reference's.
 
 The server is never started: each test drives the same calls HELLO, the
-dispatcher and the collector make (``_open_client``, ``_route_end``,
-``_on_shard_report``, ``_abort``), with one stand-in worker that never
-dies.
+connection thread and the collector make (``_open_client``,
+``_route_end``, ``_on_shard_report``, ``_abort``), with one stand-in
+worker that never dies.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def unstarted_server(state_dir: Optional[str] = None, program=None,
 
 
 def complete(server: TelemetryServer, state, report: RaceReport) -> None:
-    """END the client and deliver its one shard report, as the dispatcher
-    and the collector do."""
+    """END the client and deliver its one shard report, as the connection
+    thread and the collector do."""
     with server._mu:
         server._route_end(state.client_id)
         server._on_shard_report(state.client_id, 0, report_to_wire(report))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import multiprocessing
 import os
 import queue
 import signal
@@ -56,6 +57,7 @@ from repro.service.protocol import (
     report_to_wire,
     send_frame,
 )
+from repro.service.server import _PipeEnd
 from repro.service.shard import worker_main
 from repro.workloads.synthetic import random_program, two_thread_racer
 
@@ -413,6 +415,55 @@ class TestRobustness:
         assert status["queue_capacity"] == 1
         assert result.races == offline_reference(log_b).num_static
 
+    def test_queue_depth_binds_while_the_only_worker_is_stopped(self):
+        """With its only worker stopped, the server ACKs no more of a
+        client's segments than ``queue_depth``, and STATUS counts them in
+        flight; once the worker continues, the stream finishes and END
+        returns the offline race count."""
+        log = LiteRace(sampler="Full", seed=2).profile(
+            random_program(3, calls_per_thread=120))[1]
+        events = merge_thread_logs(log).events[:1200]
+        ordered = EventLog()
+        ordered.events = events
+        frames = split_log(ordered, segment_events=1)
+        assert len(frames) == 1200
+        address = f"unix:{short_socket_path()}"
+        with TelemetryServer([address], workers=1, queue_depth=4) as server:
+            pid = server._workers[0].process.pid
+            client = TelemetryClient(address).connect()
+            client.hello("flood")
+            acked = []
+
+            def stream():
+                for frame in frames:
+                    acked.append(client.send_segment(frame))
+
+            sender = threading.Thread(target=stream, daemon=True)
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                sender.start()
+                wait_for(lambda: len(acked) >= 4, "the first ACKs")
+                time.sleep(0.5)
+                stalled = len(acked)
+                status = server.status()
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            sender.join(timeout=60)
+            assert not sender.is_alive()
+            ack = client.end_log(len(frames))
+            client.close()
+        assert stalled <= 4
+        assert status["queue_depth"] <= 4
+        assert status["queue_capacity"] == 4
+        assert acked == list(range(len(frames)))
+        assert ack["races"] == detect_races(events).num_static
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_queue_depth_below_one_is_rejected(self, depth):
+        """A cap of 0 would hold every segment back for good."""
+        with pytest.raises(ValueError, match="queue_depth"):
+            TelemetryServer(["unix:unused"], queue_depth=depth)
+
     def test_worker_crash_mid_stream_replays_journal(self, fleet_logs):
         """Killing the worker that owns the client mid-stream moves its
         pairs to the survivor, which replays the journal.  With one shard
@@ -463,22 +514,27 @@ class TestRobustness:
     def test_worker_killed_mid_write_silences_no_other_worker(
             self, fleet_logs):
         """A worker killed while blocked writing to its full result channel
-        takes only that channel with it.  The test holds the server lock,
-        so the worker's reader cannot drain, until the channel stops
-        filling, then SIGKILLs the worker; the survivor must still answer
-        both the orphaned client and the next one."""
+        takes only that channel with it.  The test shrinks the channel to
+        one page, holds the server lock, so the worker's reader cannot
+        drain, until the channel stops filling, then SIGKILLs the worker;
+        the survivor must still answer both the orphaned client and the
+        next one."""
         _, log_b = fleet_logs
         frame = encode_segment([MemoryEvent(0, 0x10, 1, True)])
         address = f"unix:{short_socket_path()}"
-        with TelemetryServer([address], workers=2,
+        page = os.sysconf("SC_PAGE_SIZE")
+        # Each ack takes well over 16 bytes of the channel, and the cap
+        # lets every segment be in flight at once.
+        segments = page // 16
+        with TelemetryServer([address], workers=2, queue_depth=segments,
                              finalize_timeout=20) as server:
             flood = TelemetryClient(address).connect()
             flood.hello("flood")
             victim = server._workers[0]
             results = victim.results.fileno()
+            fcntl.fcntl(results, fcntl.F_SETPIPE_SZ, page)
             capacity = fcntl.fcntl(results, fcntl.F_GETPIPE_SZ)
-            # Each ack takes well over 16 bytes of the channel.
-            segments = capacity // 16
+            assert capacity == page
             os.kill(victim.process.pid, signal.SIGSTOP)
             for _ in range(segments):
                 flood.send_segment(frame)
@@ -522,31 +578,35 @@ class TestRobustness:
             self, fleet_logs, shards):
         """A worker killed while holding un-acked segments must not leave
         them in ``shard_lag``: its backlog is written off at death and
-        replayed, and counted, on the worker that takes its pairs."""
+        replayed, and counted, on the worker that takes its pairs.  The
+        backlog fills the stopped worker's cap and no more, since the
+        next segment would wait for room."""
         _, log_b = fleet_logs
         reference = offline_reference(log_b)
         ordered = EventLog()
         ordered.events = merge_thread_logs(log_b).events
         frames = split_log(ordered, segment_events=18)
         assert len(frames) == 20
+        backlog = 8
         address = f"unix:{short_socket_path()}"
         with TelemetryServer([address], workers=2, shards=shards,
-                             queue_depth=8) as server:
+                             queue_depth=backlog) as server:
             client = TelemetryClient(address).connect()
             client_id = client.hello("stalled")
             victim = server._workers[server._clients[client_id].owners[0]]
             pid = victim.process.pid
             os.kill(pid, signal.SIGSTOP)
             try:
-                for frame in frames[:10]:
+                for frame in frames[:backlog]:
                     client.send_segment(frame)
-                wait_for(lambda: client.status()["shard_lag"]["0"] == 10,
-                         "the stopped worker's backlog")
+                wait_for(
+                    lambda: client.status()["shard_lag"]["0"] == backlog,
+                    "the stopped worker's backlog")
             finally:
                 os.kill(pid, signal.SIGKILL)
             wait_for(lambda: client.status()["worker_failures"] == 1,
                      "the worker death")
-            for frame in frames[10:]:
+            for frame in frames[backlog:]:
                 client.send_segment(frame)
             ack = client.end_log(len(frames))
             deadline = time.monotonic() + 5
@@ -563,11 +623,12 @@ class TestRobustness:
         assert ack["races"] == reference.num_static
 
     def test_process_exits_after_a_worker_dies_with_a_full_queue(self):
-        """A worker killed with more queued for it than a pipe holds leaves
-        that queue's feeder thread blocked for good; the server's process
+        """A worker killed with more sent to it than a pipe holds, while a
+        connection thread is blocked writing into its full input pipe: the
+        clients still finish on the replacement, and the server's process
         must still exit once the server stops."""
         script = textwrap.dedent("""
-            import os, signal, tempfile, time
+            import os, signal, tempfile, threading, time
             from repro.core.literace import LiteRace
             from repro.detector.merge import merge_thread_logs
             from repro.eventlog.log import EventLog
@@ -579,22 +640,36 @@ class TestRobustness:
                 random_program(3))[1]
             ordered = EventLog()
             ordered.events = merge_thread_logs(log).events
-            frames = split_log(ordered, segment_events=64)
+            frames = split_log(ordered, segment_events=256)
             address = "unix:" + os.path.join(
                 tempfile.mkdtemp(prefix="reprosvc-", dir="/tmp"), "sock")
             with TelemetryServer([address], workers=1) as server:
-                pid = server._workers[0].process.pid
+                worker = server._workers[0]
+                pid = worker.process.pid
                 os.kill(pid, signal.SIGSTOP)
-                clients, queued = [], 0
-                while queued < 4 * 65536:  # well past a pipe's capacity
-                    client = TelemetryClient(address).connect()
-                    client.hello("backlog")
-                    for frame in frames:
-                        client.send_segment(frame)
-                        queued += len(frame)
-                    clients.append(client)
+                clients = []
+
+                def flood():
+                    queued = 0
+                    while queued < 4 * 65536:  # well past a pipe's capacity
+                        client = TelemetryClient(address).connect()
+                        client.hello("backlog")
+                        clients.append(client)
+                        for frame in frames:
+                            client.send_segment(frame)
+                            queued += len(frame)
+
+                sender = threading.Thread(target=flood)
+                sender.start()
+                # The pipe is full once a connection thread holds its send
+                # lock for good, blocked mid-write.
+                held = 0
+                while held < 10:
+                    held = held + 1 if worker.send_lock.locked() else 0
+                    time.sleep(0.03)
                 os.kill(pid, signal.SIGKILL)
-                while client.status()["worker_failures"] == 0:
+                sender.join()
+                while server.status()["worker_failures"] == 0:
                     time.sleep(0.05)
                 for client in clients:
                     client.end_log(len(frames))
@@ -817,6 +892,46 @@ class TestRobustness:
         assert time.monotonic() - started < 1.0
         assert [t.name for t in accept_threads if t.is_alive()] == []
 
+    def test_stop_returns_while_a_write_blocks_on_a_stopped_worker(self):
+        """A connection thread blocked writing a segment into a stopped
+        worker's full input pipe holds up neither stop() nor the worker's
+        end."""
+        # Larger than a pipe holds, so its write cannot finish while the
+        # worker is stopped.
+        frame = encode_segment([MemoryEvent(0, 0x10 + 8 * (i % 64), 1, True)
+                                for i in range(1 << 17)])
+        address = f"unix:{short_socket_path()}"
+        server = TelemetryServer([address], workers=1)
+        server.start()
+        worker = server._workers[0]
+        client = TelemetryClient(address).connect()
+
+        def send():
+            try:
+                client.send_segment(frame)
+            except (ProtocolError, OSError):
+                pass  # the server shut the connection down
+
+        os.kill(worker.process.pid, signal.SIGSTOP)
+        try:
+            client.hello("blocked")
+            sender = threading.Thread(target=send, daemon=True)
+            sender.start()
+            wait_for(lambda: server.status()["segments_ingested"] == 1,
+                     "the segment to be routed")
+            time.sleep(0.3)
+            assert worker.send_lock.locked()
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+            sender.join(timeout=10)
+        finally:
+            server.stop()  # a no-op once stopped
+            client.close()
+        assert elapsed < 5.0
+        assert not worker.process.is_alive()
+        assert not sender.is_alive()
+
 
 class TestClientLifecycle:
     """A client leaves ``_clients`` when it completes or is aborted, so
@@ -999,6 +1114,22 @@ class TestWorkerLoop:
             ("ack", 3, 7, 2, (0,), counts[1]),
             ("report", 3, 7, 0, report_to_wire(offline.report), 2),
         ]
+
+    def test_end_of_input_stops_the_worker(self, fleet_logs):
+        """On a pipe, the server closing its end stops the worker once it
+        has answered what the pipe still held."""
+        log_a, _ = fleet_logs
+        ordered = EventLog()
+        ordered.events = merge_thread_logs(log_a).events
+        frame = split_log(ordered, segment_events=64)[0]
+        inbox, sender = multiprocessing.Pipe(duplex=False)
+        sender.send(("segment", 7, 0, (0,), frame))
+        sender.close()
+        outbox = queue.Queue()
+        worker_main(3, _PipeEnd(inbox), outbox, 1)
+        inbox.close()
+        assert outbox.get_nowait()[:4] == ("ack", 3, 7, 0)
+        assert outbox.empty()
 
 
 # -- persistence and the live sink -----------------------------------------
