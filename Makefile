@@ -7,11 +7,7 @@
 # telemetry daemon CLI (serve/submit/status) end to end and is wired into
 # tier-1 via tests/test_service_smoke.py; validate-smoke drives the race
 # validation CLI (run --log-out / validate / run --validate) end to end
-# and is wired into tier-1 via tests/test_validate_smoke.py; bench-smoke
-# runs the detector throughput harness at tiny scale and validates the
-# BENCH_detector.json schema-2 trajectory, wired into tier-1 via
-# tests/test_bench_smoke.py (append a new committed entry with
-# `python -m repro bench --out BENCH_detector.json`); scenarios-smoke
+# and is wired into tier-1 via tests/test_validate_smoke.py; scenarios-smoke
 # builds every declarative scenario from its spec, checks planted ground
 # truth end to end, and replays a 1000-request loadgen burst against a
 # live `repro serve`, wired into tier-1 via tests/test_scenarios_smoke.py.
@@ -19,7 +15,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke serve-smoke validate-smoke bench-smoke scenarios-smoke staticpass bench artifacts clean-cache
+.PHONY: test smoke serve-smoke validate-smoke scenarios-smoke staticpass bench artifacts clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -32,9 +28,6 @@ serve-smoke:
 
 validate-smoke:
 	$(PYTHON) -m pytest tests/test_validate_smoke.py -q
-
-bench-smoke:
-	$(PYTHON) -m pytest tests/test_bench_smoke.py -q
 
 scenarios-smoke:
 	$(PYTHON) -m pytest tests/test_scenarios_smoke.py -q

@@ -418,25 +418,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Measure detector/server throughput and write BENCH_detector.json."""
-    from . import bench
-
-    events = args.events or bench.DEFAULT_EVENTS
-    repeats = args.repeats or bench.DEFAULT_REPEATS
-    segment_events = args.segment_events or bench.DEFAULT_SEGMENT_EVENTS
-    if args.quick:
-        events = min(events, 4000)
-        repeats = min(repeats, 2)
-    doc = bench.run_bench(events_per_stream=events, repeats=repeats,
-                          segment_events=segment_events,
-                          progress=print)
-    if args.out:
-        bench.write_bench(doc, args.out)
-        print(f"bench results written to {args.out}")
-    return 0
-
-
 def _cmd_staticpass(args) -> int:
     """Run the static race-freedom analysis; optionally cross-check it
     against the full-logging dynamic oracle (soundness gate)."""
@@ -795,20 +776,6 @@ def main(argv=None) -> int:
     an_p.add_argument("--no-alloc-sync", action="store_true",
                       help="disable the §4.3 allocation-as-sync rule")
 
-    bench_p = sub.add_parser(
-        "bench", help="measure detector events/sec and server segments/sec "
-                      "on fixed synthetic streams")
-    bench_p.add_argument("--events", type=int, default=None,
-                         help="events per stream (default 100000)")
-    bench_p.add_argument("--repeats", type=int, default=None,
-                         help="timing repeats, best-of (default 5)")
-    bench_p.add_argument("--segment-events", type=int, default=None,
-                         help="events per wire segment (default 512)")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="tiny smoke run (schema checks, not numbers)")
-    bench_p.add_argument("--out", default=None, metavar="FILE",
-                         help="write BENCH_detector.json-style results here")
-
     cmp_p = sub.add_parser("compare",
                            help="compare all samplers on one workload (§5.3)")
     cmp_p.add_argument("workload")
@@ -881,7 +848,7 @@ def main(argv=None) -> int:
                "analyze": _cmd_analyze, "compare": _cmd_compare,
                "staticpass": _cmd_staticpass, "serve": _cmd_serve,
                "submit": _cmd_submit, "status": _cmd_status,
-               "validate": _cmd_validate, "bench": _cmd_bench,
+               "validate": _cmd_validate,
                "workloads": _cmd_workloads, "scenario": _cmd_scenario,
                "loadgen": _cmd_loadgen}
     return handler[args.command](args)

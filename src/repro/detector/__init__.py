@@ -2,7 +2,7 @@
 
 from .fasttrack import FastTrackDetector, fasttrack_races
 from .flat import FlatDetector
-from .flatclock import FlatClock, TidSlots
+from .flatclock import TidSlots
 from .hb import HappensBeforeDetector, detect_races
 from .lockset import LocksetDetector
 from .merge import MergeResult, merge_thread_logs
@@ -18,7 +18,6 @@ __all__ = [
     "FastTrackDetector",
     "fasttrack_races",
     "FlatDetector",
-    "FlatClock",
     "TidSlots",
     "LocksetDetector",
     "OnlineRaceDetector",

@@ -23,11 +23,12 @@ happens-before precision at all, and a drop-in alternative consumer for
 LiteRace's logs (``LiteRace(...).analyze_log`` equivalent via
 :func:`fasttrack_races`).
 
-Like :mod:`repro.detector.hb`, this is the readable *specification*: the
-fast implementation is :class:`~repro.detector.flat.FlatDetector` with
-``algorithm='fasttrack'``, and this detector stays as the differential
-oracle it must match byte for byte (``tests/test_detector_differential.py``)
-and as the reference side of ``repro bench``.
+Unlike :mod:`repro.detector.hb`, it has no flat twin: production runs
+:class:`~repro.detector.flat.FlatDetector`, the flat form of the
+happens-before detector.  This one stays as public API and as a second
+reference: ``tests/test_detector_differential.py`` checks that it reports
+the happens-before detector's racy addresses on every workload and on
+randomized streams.
 """
 
 from __future__ import annotations

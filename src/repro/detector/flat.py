@@ -1,13 +1,12 @@
 """The batched flat-clock detector hot path.
 
-The reference detectors (:class:`~repro.detector.hb.HappensBeforeDetector`,
-:class:`~repro.detector.fasttrack.FastTrackDetector`) process one
-:class:`~repro.eventlog.events.Event` object at a time over dict-backed
-:class:`~repro.detector.vectorclock.VectorClock`\\ s.  That is the clearest
-possible statement of the algorithms — and the throughput ceiling of the
-whole fleet: per event it pays an ``isinstance`` dispatch, half a dozen
-dataclass attribute reads, several method calls, and a hash lookup per
-clock component.
+The reference detector (:class:`~repro.detector.hb.HappensBeforeDetector`)
+processes one :class:`~repro.eventlog.events.Event` object at a time over
+dict-backed :class:`~repro.detector.vectorclock.VectorClock`\\ s.  That is
+the clearest possible statement of the algorithm — and the throughput
+ceiling of the whole fleet: per event it pays an ``isinstance`` dispatch,
+half a dozen dataclass attribute reads, several method calls, and a hash
+lookup per clock component.
 
 :class:`FlatDetector` is the same algorithm rebuilt for throughput:
 
@@ -17,8 +16,7 @@ clock component.
   kept at exactly ``len(slots)`` entries so component reads in the inner
   loop are guard-free integer indexing, never hashing.
 * **Packed epochs** — an access epoch ``(slot, clock)`` is one int,
-  ``(slot << 48) | clock``, so FastTrack's same-epoch fast path is a
-  single integer compare, and "same thread as the last access" is an xor
+  ``(slot << 48) | clock``, so "same thread as the last write" is an xor
   against the thread's own packed epoch (no shift, no decode).
 * **Batched columnar feed** — :meth:`feed_batch` consumes a
   :class:`~repro.eventlog.segment.SegmentColumns` (parallel int lists
@@ -31,32 +29,24 @@ clock component.
   so the acquire join is a provable no-op and the release join collapses
   to a C-speed slice overwrite.  Under lock affinity — the common case —
   sync events cost almost nothing; under contention the full join runs.
-* **Two algorithms, one hot path** — ``algorithm='fasttrack'`` keeps
-  FastTrack's same-epoch / ordered-read O(1) paths; ``algorithm='hb'``
-  reproduces the reference happens-before detector exactly (full read
-  maps, duplicate occurrences and all), which is what the telemetry
-  shards and the online detector need to keep fleet reports identical.
 
-Equivalence is the contract, not an aspiration: for either algorithm the
+Equivalence is the contract, not an aspiration: the
 :class:`~repro.detector.races.RaceReport` (occurrences, kept examples,
-racy addresses) and the diagnostic counters are **byte-identical** to the
-reference implementation on any event stream — enforced by
-``tests/test_detector_differential.py``.  The per-event :meth:`feed` API
-remains as a thin compatibility shim over the batched loop, so both entry
-points share one implementation.
+racy addresses) and ``events_processed`` are **byte-identical** to the
+reference happens-before detector's on any event stream — full read maps,
+duplicate occurrences and all, which is what the telemetry shards and the
+online detector need to keep fleet reports identical to offline analysis.
+``tests/test_detector_differential.py`` enforces it.
 
-On clock storage: clock vectors in the inner loops are Python lists, not
+On clock storage: clock vectors in the inner loop are Python lists, not
 ``array('Q')`` — CPython reads a list element as a pointer load while an
 ``array`` read must box a fresh int, which profiling shows costs more than
-the pointer-sized storage saves.  :class:`~repro.detector.flatclock.FlatClock`
-(``array('Q')``-backed) is the compact exchange/introspection form;
-:meth:`thread_clock` snapshots into it.
+the pointer-sized storage saves.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..eventlog.encode import _KIND_CODES
 from ..eventlog.events import (
@@ -66,7 +56,7 @@ from ..eventlog.events import (
     SyncKind,
 )
 from ..eventlog.segment import SegmentColumns, columns_from_events
-from .flatclock import FlatClock, TidSlots
+from .flatclock import TidSlots
 from .races import RaceInstance, RaceReport
 
 __all__ = ["FlatDetector", "EPOCH_SHIFT", "EPOCH_CLOCK_MASK"]
@@ -75,10 +65,9 @@ __all__ = ["FlatDetector", "EPOCH_SHIFT", "EPOCH_CLOCK_MASK"]
 #: one tick per release edge, so 48 bits will not saturate in any run this
 #: side of the heat death of a fleet; slots ride above.
 #:
-#: The layout makes two hot comparisons one integer op each: ``epoch == me``
-#: is FastTrack's same-epoch check, and ``(epoch ^ me) > EPOCH_CLOCK_MASK``
-#: is "different slot than mine" (xor cancels equal slot bits, leaving only
-#: a clock delta, which fits under the mask).
+#: The layout makes "different slot than mine" one integer op:
+#: ``(epoch ^ me) > EPOCH_CLOCK_MASK`` (xor cancels equal slot bits, leaving
+#: only a clock delta, which fits under the mask).
 EPOCH_SHIFT = 48
 EPOCH_CLOCK_MASK = (1 << EPOCH_SHIFT) - 1
 
@@ -99,34 +88,27 @@ _IS_PAGE = tuple(
 )
 
 # Per-address state is a small list, not an object: index loads beat
-# attribute descriptors in the inner loop.  Layouts:
+# attribute descriptors in the inner loop.  Layout ``[wep, wpc, reads]``:
 #
-#   fasttrack: [rep, rpc, wep, wpc, rmap]
-#     rep:  packed read epoch; 0 = no reads since write; -1 = escalated
-#     wep:  packed write epoch; 0 = never written
-#     rmap: slot -> (clock, pc) once escalated, else None
-#
-#   hb:        [wep, wpc, reads]
-#     reads: slot -> (clock, pc) for reads since the last write
+#   wep:   packed write epoch; 0 = never written
+#   wpc:   the last write's pc
+#   reads: slot -> (clock, pc) for reads since the last write
 #
 # Packed epochs are never 0 for real accesses (a thread's own clock
-# component starts at 1), so 0 is a safe "absent" and -1 a safe marker.
-_FT_REP, _FT_RPC, _FT_WEP, _FT_WPC, _FT_RMAP = range(5)
-_HB_WEP, _HB_WPC, _HB_READS = range(3)
+# component starts at 1), so 0 is a safe "absent".
 
 
 class FlatDetector:
-    """Batched flat-clock race detector; byte-identical to the references.
+    """Batched flat-clock race detector; byte-identical to
+    :class:`~repro.detector.hb.HappensBeforeDetector`.
 
-    ``algorithm`` selects which reference it reproduces: ``'hb'`` (the
-    exact happens-before detector — the telemetry/online default) or
-    ``'fasttrack'`` (epoch fast paths and read-map escalation).
+    ``algorithm`` names the algorithm it runs; ``'hb'`` is the only one,
+    and any other name raises :class:`ValueError`.
     """
 
     def __init__(self, algorithm: str = "hb", alloc_as_sync: bool = True):
-        if algorithm not in ("hb", "fasttrack"):
+        if algorithm != "hb":
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        self.algorithm = algorithm
         self.alloc_as_sync = alloc_as_sync
         self.report = RaceReport()
         self._slots = TidSlots()
@@ -150,9 +132,6 @@ class FlatDetector:
         self._var_last: Dict[object, int] = {}
         self._addresses: Dict[int, list] = {}
         self.events_processed = 0
-        #: FastTrack diagnostics (always 0 under 'hb').
-        self.fast_path_hits = 0
-        self.escalations = 0
 
     #: The hot-path kernel: always the pure-Python loop.  Kept because the
     #: benchmark harness records it with every run.
@@ -192,22 +171,18 @@ class FlatDetector:
 
         Returns ``(memory_events_fed, sync_events_seen)``.
         """
-        if self.algorithm == "fasttrack":
-            skipped = self._batch_fasttrack(cols, shard_id, num_shards,
-                                            block_shift)
-        else:
-            skipped = self._batch_hb(cols, shard_id, num_shards, block_shift)
-        # The loops count only what they *skip*; totals come from the
+        skipped = self._batch_hb(cols, shard_id, num_shards, block_shift)
+        # The loop counts only what it *skips*; totals come from the
         # columns, so the hot path carries no per-event counters.
         mem_fed = cols.memory_count - skipped
         self.events_processed += mem_fed + cols.sync_count
         return mem_fed, cols.sync_count
 
-    # Both batch loops inline the sync rule rather than calling out:
+    # The batch loop inlines the sync rule rather than calling out:
     # acquire joins the SyncVar's clock into the thread's; release joins
     # the thread's into the SyncVar's (creating it as a copy — the same
     # effect as join-into-zeros) and ticks the thread's own component,
-    # refreshing its packed epoch.  Mirrors the references' ``_on_sync``,
+    # refreshing its packed epoch.  Mirrors the reference's ``_on_sync``,
     # with the _var_last dominance shortcut: if this thread was the last
     # one joined with the var, vvc <= vc pointwise, so the acquire join
     # is a no-op and the release join is exactly ``vvc[:] = vc``.
@@ -323,188 +298,7 @@ class FlatDetector:
                 state[2][slot] = (own, pc)
         return skipped
 
-    def _batch_fasttrack(self, cols, shard_id, num_shards, block_shift):
-        """FastTrack's epoch-optimized algorithm, inlined over columns.
-
-        Returns the number of memory events the shard filter skipped.
-        """
-        domain_col = cols.sync_domains
-        slot_of = self._slot_of
-        ctx = self._ctx
-        epochs = self._epochs
-        tids = self._slots.tids
-        var_clocks = self._var_clocks
-        var_clocks_get = var_clocks.get
-        var_last = self._var_last
-        var_last_get = var_last.get
-        addresses = self._addresses
-        record = self.report.record
-        alloc_as_sync = self.alloc_as_sync
-        filtered = shard_id is not None
-        fast_paths = 0
-        escalations = 0
-        sync_at = 0
-        skipped = 0
-        last_tid = None
-        slot = -1
-        vc = None
-        own = 0
-        me = 0  # this thread's packed epoch: (slot << SHIFT) | own
-        for op, tid, addr, pc in zip(cols.ops, cols.tids, cols.addrs,
-                                     cols.pcs):
-            if op >= 2:
-                domain = domain_col[sync_at]
-                sync_at += 1
-                if not alloc_as_sync and _IS_PAGE[op]:
-                    continue
-                if tid != last_tid:
-                    try:
-                        slot = slot_of[tid]
-                    except KeyError:
-                        slot = self._new_slot(tid)
-                    vc, me, own = ctx[slot]
-                    last_tid = tid
-                key = ((domain << 32) | addr if type(domain) is int
-                       else (domain, addr))
-                vvc = var_clocks_get(key)
-                mine = var_last_get(key) == slot
-                if _IS_ACQUIRE[op] and vvc is not None and not mine:
-                    for j, value in enumerate(vvc):
-                        if value > vc[j]:
-                            vc[j] = value
-                    mine = True
-                    var_last[key] = slot
-                if _IS_RELEASE[op]:
-                    if vvc is None:
-                        var_clocks[key] = vc.copy()
-                        var_last[key] = slot
-                    elif mine:
-                        vvc[:] = vc
-                    else:
-                        # Join into a clock this thread does not dominate
-                        # (release without a prior acquire, e.g. NOTIFY or
-                        # FORK): afterwards the var's clock may exceed
-                        # *everyone's*, so no thread holds dominance.
-                        for j, value in enumerate(vc):
-                            if value > vvc[j]:
-                                vvc[j] = value
-                        var_last[key] = -2
-                    own += 1
-                    vc[slot] = own
-                    me = (slot << EPOCH_SHIFT) | own
-                    epochs[slot] = me
-                    ctx[slot] = (vc, me, own)
-                continue
-            if filtered and (addr >> block_shift) % num_shards != shard_id:
-                skipped += 1
-                continue
-            if tid != last_tid:
-                try:
-                    slot = slot_of[tid]
-                except KeyError:
-                    slot = self._new_slot(tid)
-                vc, me, own = ctx[slot]
-                last_tid = tid
-            try:
-                state = addresses[addr]
-            except KeyError:
-                state = addresses[addr] = [0, -1, 0, -1, None]
-            if op == 0:
-                # -- read ------------------------------------------------
-                rep = state[0]
-                # Same-epoch read: one integer compare.
-                if rep == me:
-                    fast_paths += 1
-                    continue
-                wep = state[2]
-                if wep and wep ^ me > EPOCH_CLOCK_MASK:
-                    wslot = wep >> EPOCH_SHIFT
-                    if (wep & EPOCH_CLOCK_MASK) > vc[wslot]:
-                        record(RaceInstance(
-                            addr=addr, first_tid=tids[wslot], second_tid=tid,
-                            first_pc=state[3], second_pc=pc,
-                            first_is_write=True, second_is_write=False))
-                # First read since the write (the common follower of a
-                # same-thread write): adopt the epoch.
-                if rep == 0:
-                    state[0] = me
-                    state[1] = pc
-                    fast_paths += 1
-                    continue
-                if rep == -1:
-                    state[4][slot] = (own, pc)
-                    continue
-                # Same slot as the previous read epoch (xor clears equal
-                # slot bits) or ordered after it: stay in epoch mode.
-                if rep ^ me <= EPOCH_CLOCK_MASK:
-                    state[0] = me
-                    state[1] = pc
-                    fast_paths += 1
-                    continue
-                rslot = rep >> EPOCH_SHIFT
-                if (rep & EPOCH_CLOCK_MASK) <= vc[rslot]:
-                    state[0] = me
-                    state[1] = pc
-                    fast_paths += 1
-                    continue
-                # Concurrent reads: escalate to a read map.
-                escalations += 1
-                state[4] = {rslot: (rep & EPOCH_CLOCK_MASK, state[1]),
-                            slot: (own, pc)}
-                state[0] = -1
-                continue
-            # -- write --------------------------------------------------
-            wep = state[2]
-            rep = state[0]
-            if wep == me:
-                # Same-epoch write: no write race possible; with no reads
-                # since, nothing at all can have changed.
-                if rep == 0:
-                    fast_paths += 1
-                    state[3] = pc
-                    continue
-            elif wep and wep ^ me > EPOCH_CLOCK_MASK:
-                wslot = wep >> EPOCH_SHIFT
-                if (wep & EPOCH_CLOCK_MASK) > vc[wslot]:
-                    record(RaceInstance(
-                        addr=addr, first_tid=tids[wslot], second_tid=tid,
-                        first_pc=state[3], second_pc=pc,
-                        first_is_write=True, second_is_write=True))
-            if rep == -1:
-                for rslot, rcp in state[4].items():
-                    if rslot != slot and rcp[0] > vc[rslot]:
-                        record(RaceInstance(
-                            addr=addr, first_tid=tids[rslot], second_tid=tid,
-                            first_pc=rcp[1], second_pc=pc,
-                            first_is_write=False, second_is_write=True))
-                state[4] = None
-                state[0] = 0
-            elif rep:
-                if rep ^ me > EPOCH_CLOCK_MASK:
-                    rslot = rep >> EPOCH_SHIFT
-                    if (rep & EPOCH_CLOCK_MASK) > vc[rslot]:
-                        record(RaceInstance(
-                            addr=addr, first_tid=tids[rslot], second_tid=tid,
-                            first_pc=state[1], second_pc=pc,
-                            first_is_write=False, second_is_write=True))
-                    else:
-                        fast_paths += 1
-                else:
-                    fast_paths += 1
-                state[0] = 0
-            else:
-                fast_paths += 1
-            state[2] = me
-            state[3] = pc
-        self.fast_path_hits += fast_paths
-        self.escalations += escalations
-        return skipped
-
-    # -- compatibility shims ----------------------------------------------
-    def feed(self, event: Event) -> None:
-        """Process one event object (thin shim over the batched loop)."""
-        self.feed_batch(columns_from_events((event,)))
-
+    # -- event objects -----------------------------------------------------
     def feed_all(self, events: Iterable[Event]) -> "FlatDetector":
         """Consume an object event stream via one batched conversion."""
         self.feed_batch(columns_from_events(
@@ -515,27 +309,3 @@ class FlatDetector:
     @property
     def addresses_tracked(self) -> int:
         return len(self._addresses)
-
-    @property
-    def shared_addresses(self) -> int:
-        """Addresses currently escalated to full read maps ('fasttrack')."""
-        if self.algorithm == "fasttrack":
-            return sum(1 for s in self._addresses.values()
-                       if s[_FT_RMAP] is not None)
-        return sum(1 for s in self._addresses.values()
-                   if len(s[_HB_READS]) > 1)
-
-    @property
-    def threads_seen(self) -> int:
-        return len(self._slots)
-
-    @property
-    def tid_slots(self) -> TidSlots:
-        return self._slots
-
-    def thread_clock(self, tid: int) -> Optional[FlatClock]:
-        """A :class:`FlatClock` snapshot of ``tid``'s clock (or None)."""
-        slot = self._slot_of.get(tid)
-        if slot is None:
-            return None
-        return FlatClock(array("Q", self._clocks[slot]))

@@ -23,8 +23,8 @@ uses it to demonstrate the false races that rule prevents.
 
 This module is the *specification*, not the production path: every caller
 in the tool (offline analysis, the experiments, the CLI, the telemetry
-shards) runs :class:`~repro.detector.flat.FlatDetector` in its ``'hb'``
-mode, which must reproduce this detector's report byte for byte.  It stays
+shards) runs :class:`~repro.detector.flat.FlatDetector`, which must
+reproduce this detector's report byte for byte.  It stays
 as the differential oracle that contract is checked against
 (``tests/test_detector_differential.py``).
 """

@@ -38,25 +38,22 @@ __all__ = ["OnlineRaceDetector", "FLUSH_EVENTS"]
 _MEMORY_ANALYSIS_COST = 25
 _SYNC_ANALYSIS_COST = 120
 
-#: Default micro-batch size: events buffered before a ``feed_batch`` flush.
+#: Micro-batch size: events buffered before a ``feed_batch`` flush.
 #: Small enough that the buffered tail is negligible memory, large enough
-#: to amortize the per-batch setup of the pure loop.  The committed value
-#: is the winner of the ``repro bench --quick`` flush-size sweep (on the
-#: pure loop; throughput is flat within noise from 256 to 4096 events and
-#: only 128 lags); override per instance via ``flush_events``.
+#: to amortize the per-batch setup of the pure loop.  Measured on the pure
+#: loop, throughput is flat within noise from 256 to 4096 events and only
+#: 128 lags.  :meth:`OnlineRaceDetector.feed` reads this constant on every
+#: call, so a sweep can set it between runs; ``docs/detector.md`` has the
+#: recipe.
 FLUSH_EVENTS = 4096
 
 
 class OnlineRaceDetector:
     """A streaming event sink performing happens-before analysis."""
 
-    def __init__(self, alloc_as_sync: bool = True,
-                 flush_events: int = FLUSH_EVENTS):
-        if flush_events < 1:
-            raise ValueError("flush_events must be >= 1")
+    def __init__(self, alloc_as_sync: bool = True):
         self._detector = FlatDetector("hb", alloc_as_sync=alloc_as_sync)
         self._pending: List[Event] = []
-        self.flush_events = flush_events
         self.events_consumed = 0
         self.analysis_cycles = 0
 
@@ -69,7 +66,7 @@ class OnlineRaceDetector:
             self.analysis_cycles += _SYNC_ANALYSIS_COST
         pending = self._pending
         pending.append(event)
-        if len(pending) >= self.flush_events:
+        if len(pending) >= FLUSH_EVENTS:
             self.flush()
 
     def flush(self) -> None:

@@ -103,6 +103,21 @@ else:  # pragma: no cover - non-POSIX fallback
 _SNAPSHOT_FILE = "report.json"
 
 
+def _close_socket(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it.  close() alone does not wake a
+    thread blocked in accept() on a listener, and does not end a
+    connection while another process holds a copy of its descriptor, as a
+    worker forked after the accept does; shutdown() does both."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class _Worker:
     """One detector process, its input and result pipes, and what it
     owes."""
@@ -322,27 +337,11 @@ class TelemetryServer:
             self._room.notify_all()
         self.shutdown_requested.set()
         for listener in self._listeners:
-            # close() alone does not wake a thread blocked in accept();
-            # shutdown() does, for unix and tcp listeners alike.
-            try:
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                listener.close()
-            except OSError:
-                pass
+            _close_socket(listener)
         with self._mu:
             connections = list(self._connections)
         for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _close_socket(conn)
         # EOF on its input stops a worker once it has analyzed what the
         # pipe still holds.  A thread blocked writing to a stopped worker's
         # full pipe keeps that pipe's send lock until the worker is killed
@@ -722,10 +721,7 @@ class TelemetryServer:
                     self._abort(state)
             if mid_stream:
                 self._route_discard(state)
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _close_socket(conn)
 
     def _handle_frame(self, conn: socket.socket, frame_type: int,
                       payload: bytes, state: Optional[_ClientState]):

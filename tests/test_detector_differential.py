@@ -1,25 +1,26 @@
-"""Differential harness: the flat batched detector vs the references.
+"""Differential harness: the flat batched detector vs the reference.
 
 The flat-clock hot path (:class:`repro.detector.flat.FlatDetector`) rewrites
 the correctness core of the project, so its contract is *byte-identical*
 output, not statistical agreement: on any event stream, the batched
-detector must produce exactly the reference detector's ``RaceReport``
-(occurrence counts, example instances, racy addresses) and diagnostics
-(fast-path hits, escalations, events processed) for the same algorithm.
+detector must produce exactly the reference ``HappensBeforeDetector``'s
+``RaceReport`` (occurrence counts, example instances, racy addresses) and
+``events_processed``.
 
 Three layers of evidence:
 
 * every registered workload, profiled with the Full sampler (dense logs,
-  real sync structure) — byte-identical reports on all 12;
+  real sync structure) — byte-identical reports on all 16;
 * hypothesis-randomized streams — interleaved sync/memory traffic over all
   sync kinds including page alloc/free, both ``alloc_as_sync`` modes, and
-  the per-event ``feed`` shim;
-* directed edge cases — read-shared escalation, collapse back to epochs,
-  and re-escalation, where FastTrack's state machine has its corners.
+  any split into batches;
+* directed edge cases — page alloc/free in both modes, epochs at batch
+  edges, and addresses at shard-filter block boundaries.
 
-One deliberate non-assertion: FastTrack and HB may report *different PC
-pairs* (FastTrack's same-epoch read fast path can skip a write-race check
-that HB performs, so neither race-key set contains the other).  The
+The reference ``FastTrackDetector`` is held to HB here as well.  One
+deliberate non-assertion: FastTrack and HB may report *different PC pairs*
+(FastTrack's same-epoch read fast path can skip a write-race check that HB
+performs, so neither race-key set contains the other).  The
 order-independent invariant both must share is the set of racy addresses.
 """
 
@@ -51,24 +52,15 @@ def report_key(detector):
             set(report.addresses))
 
 
-def reference_for(algorithm, alloc_as_sync=True):
-    if algorithm == "fasttrack":
-        return FastTrackDetector(alloc_as_sync=alloc_as_sync)
-    return HappensBeforeDetector(alloc_as_sync=alloc_as_sync)
-
-
-def assert_flat_matches(events, algorithm, alloc_as_sync=True):
-    """The core differential check, returning both detectors."""
-    reference = reference_for(algorithm, alloc_as_sync).feed_all(events)
-    flat = FlatDetector(algorithm, alloc_as_sync=alloc_as_sync)
+def assert_flat_matches(events, alloc_as_sync=True):
+    """The core differential check, returning the reference detector."""
+    reference = HappensBeforeDetector(
+        alloc_as_sync=alloc_as_sync).feed_all(events)
+    flat = FlatDetector("hb", alloc_as_sync=alloc_as_sync)
     flat.feed_batch(columns_from_events(events))
     assert report_key(flat) == report_key(reference)
-    if algorithm == "fasttrack":
-        assert flat.fast_path_hits == reference.fast_path_hits
-        assert flat.escalations == reference.escalations
-    else:
-        assert flat.events_processed == reference.events_processed
-    return reference, flat
+    assert flat.events_processed == reference.events_processed
+    return reference
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +77,10 @@ class TestAllWorkloads:
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_byte_identical_reports(self, workload_logs, name):
         events = workload_logs[name]
-        ft_ref, ft_flat = assert_flat_matches(events, "fasttrack")
-        hb_ref, hb_flat = assert_flat_matches(events, "hb")
+        hb_ref = assert_flat_matches(events)
         # Across algorithms the racy-address set is the shared invariant.
+        ft_ref = FastTrackDetector().feed_all(events)
         assert ft_ref.report.addresses == hb_ref.report.addresses
-        assert ft_flat.report.addresses == hb_flat.report.addresses
 
     def test_workload_set_is_complete(self):
         # The acceptance bar is "all 12 hand-written workloads plus the
@@ -139,13 +130,8 @@ def event_streams(draw, max_events=300):
 class TestRandomizedStreams:
     @settings(max_examples=60, deadline=None)
     @given(events=event_streams(), alloc=st.booleans())
-    def test_fasttrack_byte_identical(self, events, alloc):
-        assert_flat_matches(events, "fasttrack", alloc_as_sync=alloc)
-
-    @settings(max_examples=60, deadline=None)
-    @given(events=event_streams(), alloc=st.booleans())
     def test_hb_byte_identical(self, events, alloc):
-        assert_flat_matches(events, "hb", alloc_as_sync=alloc)
+        assert_flat_matches(events, alloc_as_sync=alloc)
 
     @settings(max_examples=30, deadline=None)
     @given(events=event_streams(max_events=120))
@@ -155,32 +141,21 @@ class TestRandomizedStreams:
         assert ft.report.addresses == hb.report.addresses
 
     @settings(max_examples=25, deadline=None)
-    @given(events=event_streams(max_events=150))
-    def test_feed_shim_matches_reference(self, events):
-        for algorithm in ("fasttrack", "hb"):
-            reference = reference_for(algorithm).feed_all(events)
-            shim = FlatDetector(algorithm)
-            for event in events:
-                shim.feed(event)
-            assert report_key(shim) == report_key(reference)
-
-    @settings(max_examples=25, deadline=None)
     @given(events=event_streams(max_events=150),
            split=st.integers(0, 150))
     def test_batch_boundaries_are_invisible(self, events, split):
         # Feeding one batch or two must be indistinguishable: detector
         # state carries across feed_batch calls exactly.
-        whole = FlatDetector("fasttrack")
+        whole = FlatDetector("hb")
         whole.feed_batch(columns_from_events(events))
-        halved = FlatDetector("fasttrack")
+        halved = FlatDetector("hb")
         halved.feed_batch(columns_from_events(events[:split]))
         halved.feed_batch(columns_from_events(events[split:]))
         assert report_key(whole) == report_key(halved)
-        assert whole.fast_path_hits == halved.fast_path_hits
-        assert whole.escalations == halved.escalations
+        assert whole.events_processed == halved.events_processed
 
 
-# -- directed FastTrack state-machine edges ----------------------------------
+# -- directed edges ----------------------------------------------------------
 
 def mem(tid, addr, pc, write):
     return MemoryEvent(tid, addr, pc, write)
@@ -191,34 +166,6 @@ def sync(tid, kind, ident, ts, pc=0):
 
 
 class TestEscalationEdges:
-    def test_read_shared_escalation_and_counters(self):
-        # Two unordered readers escalate the read epoch to a read map.
-        events = [mem(0, 0x10, 1, False), mem(1, 0x10, 2, False)]
-        ref, flat = assert_flat_matches(events, "fasttrack")
-        assert flat.escalations == 1
-
-    def test_write_collapses_read_map(self):
-        # Escalate, order everything via a lock handoff, then write: the
-        # ordered write collapses the read map back to epoch state, and a
-        # later unordered read must escalate again.
-        events = [
-            mem(0, 0x10, 1, False),
-            mem(1, 0x10, 2, False),          # escalate
-            sync(1, SyncKind.UNLOCK, 9, 1),
-            sync(0, SyncKind.LOCK, 9, 2),
-            mem(0, 0x10, 3, True),           # ordered write: collapse
-            mem(2, 0x10, 4, False),          # unordered read vs that write
-            mem(0, 0x10, 5, False),          # second reader: escalate again
-        ]
-        ref, flat = assert_flat_matches(events, "fasttrack")
-        assert flat.escalations == 2
-
-    def test_same_epoch_fast_paths_counted(self):
-        events = [mem(0, 0x10, 1, True)] + [mem(0, 0x10, 2, True)] * 5 \
-            + [mem(0, 0x10, 3, False)] * 3
-        ref, flat = assert_flat_matches(events, "fasttrack")
-        assert flat.fast_path_hits == ref.fast_path_hits > 0
-
     def test_alloc_free_reset_vs_plain_sync(self):
         # ALLOC_PAGE/FREE_PAGE are both acquire and release; with
         # alloc_as_sync off they are skipped entirely.  Both modes must
@@ -231,8 +178,7 @@ class TestEscalationEdges:
             mem(1, 0x40, 2, True),
         ]
         for alloc in (True, False):
-            assert_flat_matches(events, "fasttrack", alloc_as_sync=alloc)
-            assert_flat_matches(events, "hb", alloc_as_sync=alloc)
+            assert_flat_matches(events, alloc_as_sync=alloc)
 
 
 # -- the pure loop under chunking, frames and shard filters ------------------
@@ -246,10 +192,9 @@ def routed(events, shard):
             or (e.addr >> block_shift) % num_shards == shard_id]
 
 
-def run_flat(events, algorithm, *, alloc_as_sync=True, batch_size=None,
-             shard=None):
+def run_flat(events, *, alloc_as_sync=True, batch_size=None, shard=None):
     """Feed ``events`` through a FlatDetector in ``batch_size`` chunks."""
-    detector = FlatDetector(algorithm, alloc_as_sync=alloc_as_sync)
+    detector = FlatDetector("hb", alloc_as_sync=alloc_as_sync)
     if batch_size is None:
         chunks = [events]
     else:
@@ -267,27 +212,25 @@ def run_flat(events, algorithm, *, alloc_as_sync=True, batch_size=None,
     return detector
 
 
-def assert_same_as_one_feed(detector, events, algorithm, *,
-                            alloc_as_sync=True, shard=None):
+def assert_same_as_one_feed(detector, events, *, alloc_as_sync=True,
+                            shard=None):
     """``detector`` vs one unfiltered feed of what ``shard`` keeps:
-    byte-identical reports AND counters."""
-    whole = FlatDetector(algorithm, alloc_as_sync=alloc_as_sync)
+    byte-identical reports AND event counts."""
+    whole = FlatDetector("hb", alloc_as_sync=alloc_as_sync)
     whole.feed_batch(columns_from_events(routed(events, shard)))
     assert detector.kernel == whole.kernel == "pure"
     assert report_key(detector) == report_key(whole)
     assert detector.events_processed == whole.events_processed
-    assert detector.fast_path_hits == whole.fast_path_hits
-    assert detector.escalations == whole.escalations
     return whole
 
 
-def assert_kernels_agree(events, algorithm, *, alloc_as_sync=True,
-                         batch_size=None, shard=None):
+def assert_kernels_agree(events, *, alloc_as_sync=True, batch_size=None,
+                         shard=None):
     """Chunked, shard-filtered feeds vs one feed of the routed events."""
-    chunked = run_flat(events, algorithm, alloc_as_sync=alloc_as_sync,
+    chunked = run_flat(events, alloc_as_sync=alloc_as_sync,
                        batch_size=batch_size, shard=shard)
-    assert_same_as_one_feed(chunked, events, algorithm,
-                            alloc_as_sync=alloc_as_sync, shard=shard)
+    assert_same_as_one_feed(chunked, events, alloc_as_sync=alloc_as_sync,
+                            shard=shard)
     return chunked
 
 
@@ -300,7 +243,8 @@ class TestKernelEquivalence:
     """
 
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("algorithm", ["fasttrack", "hb"])
+    # 'hb' is the only algorithm; the parameter keeps the hb-<workload> ids.
+    @pytest.mark.parametrize("algorithm", ["hb"])
     def test_workloads_byte_identical(self, workload_logs, name, algorithm):
         # The streaming path: 512-event SEGMENT frames (the client's
         # default), each decoded and detected as it is pushed.
@@ -310,15 +254,13 @@ class TestKernelEquivalence:
         for start in range(0, len(events), 512):
             batcher.push(encode_segment(events[start:start + 512]))
         batcher.flush()
-        assert_same_as_one_feed(detector, events, algorithm)
+        assert_same_as_one_feed(detector, events)
 
     @settings(max_examples=30, deadline=None)
     @given(events=event_streams(), alloc=st.booleans(),
            batch=st.sampled_from([1, 7, 50, 300]))
     def test_randomized_streams(self, events, alloc, batch):
-        for algorithm in ("fasttrack", "hb"):
-            assert_kernels_agree(events, algorithm, alloc_as_sync=alloc,
-                                 batch_size=batch)
+        assert_kernels_agree(events, alloc_as_sync=alloc, batch_size=batch)
 
     @settings(max_examples=20, deadline=None)
     @given(events=event_streams(max_events=200),
@@ -327,11 +269,11 @@ class TestKernelEquivalence:
         # Per shard, the filter equals dropping the other shards' memory
         # events up front; across shards, the union of the reports equals
         # the unsharded report's racy-address set.
-        whole = assert_kernels_agree(events, "hb")
+        whole = assert_kernels_agree(events)
         union = set()
         for shard_id in range(num_shards):
             sharded = assert_kernels_agree(
-                events, "hb", shard=(shard_id, num_shards, 2))
+                events, shard=(shard_id, num_shards, 2))
             union |= set(sharded.report.addresses)
         assert union == set(whole.report.addresses)
 
@@ -347,8 +289,7 @@ class TestKernelEquivalence:
             events.extend(mem(0, 0x10, 2, False) for _ in range(5))
             events.append(sync(1, SyncKind.LOCK, 1, 2 * round_no + 2))
         for batch in (5, 6, 11, None):
-            assert_kernels_agree(events, "fasttrack", batch_size=batch)
-            assert_kernels_agree(events, "hb", batch_size=batch)
+            assert_kernels_agree(events, batch_size=batch)
 
     def test_shard_mask_block_boundaries(self):
         # Addresses straddling block edges: with block_shift=6, addresses
@@ -363,7 +304,7 @@ class TestKernelEquivalence:
             per_shard_counts = []
             for shard_id in range(num_shards):
                 sharded = assert_kernels_agree(
-                    events, "hb", shard=(shard_id, num_shards, 6))
+                    events, shard=(shard_id, num_shards, 6))
                 per_shard_counts.append(sharded.events_processed)
             # Every memory event lands on exactly one shard.
             assert sum(per_shard_counts) == len(events)
@@ -382,4 +323,4 @@ class TestKernelEquivalence:
                                  block_shift=6)
             else:
                 mixed.feed_batch(cols)
-        assert_same_as_one_feed(mixed, events, "hb")
+        assert_same_as_one_feed(mixed, events)

@@ -267,7 +267,7 @@ class TestGroundTruth:
         with the online verdict on the same event stream."""
         program = compile_scenario(scenario(name), seed=2, scale=0.02)
         result = LiteRace(sampler="Full", seed=2).run(program)
-        replay = FlatDetector("fasttrack").feed_all(result.log.events)
+        replay = FlatDetector("hb").feed_all(result.log.events)
         planted = {k for p in program.planted_races for k in p.keys}
         assert replay.report.static_races == planted
 

@@ -701,6 +701,39 @@ class TestRobustness:
         assert status["workers_alive"] == 1
         assert result.races == offline_reference(log_a).num_static
 
+    def test_connection_ends_after_the_last_worker_is_replaced(self):
+        """The replacement for the last worker is forked from the daemon
+        while a connection is open, so it holds a copy of that socket; the
+        server must still end the connection when it drops the client."""
+        address = f"unix:{short_socket_path()}"
+        with TelemetryServer([address], workers=1) as server:
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.settimeout(5.0)
+            try:
+                raw.connect(parse_address(address)[1])
+                # A STATUS round trip: the connection is accepted and
+                # served before the worker dies.
+                send_frame(raw, T_STATUS, b"")
+                assert recv_frame(raw)[0] == T_OK
+                server._workers[0].process.kill()
+                wait_for(lambda: server.status()["worker_failures"] == 1,
+                         "the replacement worker")
+                # A length over MAX_FRAME_BYTES: the server drops the
+                # connection without a reply.
+                raw.sendall(struct.pack("<IB", 0xFFFFFFFF, T_STATUS))
+                started = time.monotonic()
+                try:
+                    data = raw.recv(1)
+                except socket.timeout:
+                    data = None
+                waited = time.monotonic() - started
+            finally:
+                raw.close()
+            status = server.status()
+        assert data == b"", f"no EOF after {waited:.1f} s"
+        assert status["protocol_errors"] == 1
+        assert status["workers_alive"] == 1
+
     def test_torn_connection_never_corrupts_server_state(self, fleet_logs):
         log_a, _ = fleet_logs
         reference = offline_reference(log_a)
