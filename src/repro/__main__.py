@@ -500,7 +500,6 @@ def _cmd_serve(args) -> int:
     server = TelemetryServer(
         addresses,
         workers=args.workers,
-        shards=args.shards,
         queue_depth=args.queue_depth,
         state_dir=args.state_dir,
         program=program,
@@ -508,7 +507,7 @@ def _cmd_serve(args) -> int:
     )
     server.start()
     print(f"telemetry server listening on {', '.join(server.addresses)} — "
-          f"{args.workers} worker(s), {server.num_shards} shard(s)",
+          f"{args.workers} worker(s)",
           flush=True)
     server.serve_forever()
     print("telemetry server stopped")
@@ -582,7 +581,7 @@ def _cmd_status(args) -> int:
             print(f"{key:18}: {status[key]}")
     lag = status.get("shard_lag", {})
     if lag:
-        rendered = ", ".join(f"s{k}={v}" for k, v in sorted(lag.items()))
+        rendered = ", ".join(f"w{k}={v}" for k, v in sorted(lag.items()))
         print(f"{'shard_lag':18}: {rendered}")
     if report is not None:
         print(f"\nfleet report: {report['num_static']} static race(s), "
@@ -783,7 +782,7 @@ def main(argv=None) -> int:
     cmp_p.add_argument("--scale", type=float, default=1.0)
 
     serve_p = sub.add_parser(
-        "serve", help="run the race-telemetry daemon (sharded streaming "
+        "serve", help="run the race-telemetry daemon (streaming "
                       "detection over fleet-submitted logs)")
     serve_p.add_argument("--unix", default=None, metavar="PATH",
                          help="listen on this Unix socket")
@@ -791,14 +790,6 @@ def main(argv=None) -> int:
                          help="listen on this TCP endpoint")
     serve_p.add_argument("--workers", type=int, default=2,
                          help="detector worker processes (default 2)")
-    serve_p.add_argument("--shards", type=int, default=1,
-                         help="address-range shards per client (default "
-                              "1: one worker analyzes each log and workers "
-                              "run clients in parallel; N > 1 splits a "
-                              "log's addresses over workers, cutting one "
-                              "large log's latency, but each shard "
-                              "decodes every frame and replays every "
-                              "sync event)")
     serve_p.add_argument("--queue-depth", type=int, default=64,
                          help="segments in flight per worker (sent and "
                               "not yet analyzed) before a client's next "

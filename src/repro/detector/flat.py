@@ -34,7 +34,7 @@ Equivalence is the contract, not an aspiration: the
 :class:`~repro.detector.races.RaceReport` (occurrences, kept examples,
 racy addresses) and ``events_processed`` are **byte-identical** to the
 reference happens-before detector's on any event stream — full read maps,
-duplicate occurrences and all, which is what the telemetry shards and the
+duplicate occurrences and all, which is what the telemetry workers and the
 online detector need to keep fleet reports identical to offline analysis.
 ``tests/test_detector_differential.py`` enforces it.
 
@@ -46,7 +46,7 @@ the pointer-sized storage saves.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from ..eventlog.encode import _KIND_CODES
 from ..eventlog.events import (
@@ -115,8 +115,6 @@ class FlatDetector:
         self._slot_of = self._slots._slot_of
         #: slot -> that thread's clock; every vector has len(slots) entries.
         self._clocks: List[List[int]] = []
-        #: slot -> that thread's current packed epoch (slot << SHIFT | own).
-        self._epochs: List[int] = []
         #: slot -> (clock, packed epoch, own component): one load + unpack
         #: resolves a thread in the hot loop.  Rebuilt on every release
         #: tick (the only time me/own change).
@@ -153,30 +151,16 @@ class FlatDetector:
         # A thread's own component starts at 1, matching the references.
         clock[slot] = 1
         self._clocks.append(clock)
-        me = (slot << EPOCH_SHIFT) | 1
-        self._epochs.append(me)
-        self._ctx.append((clock, me, 1))
+        self._ctx.append((clock, (slot << EPOCH_SHIFT) | 1, 1))
         return slot
 
     # -- batched feed ------------------------------------------------------
-    def feed_batch(self, cols: SegmentColumns, *, shard_id: int = None,
-                   num_shards: int = 0,
-                   block_shift: int = 0) -> Tuple[int, int]:
-        """Consume one decoded segment's columns.
-
-        With ``shard_id`` set, memory events whose address block
-        (``addr >> block_shift``) does not route to that shard are skipped
-        — the telemetry shard filter, applied inside the hot loop so shard
-        workers never materialize filtered events either.
-
-        Returns ``(memory_events_fed, sync_events_seen)``.
-        """
-        skipped = self._batch_hb(cols, shard_id, num_shards, block_shift)
-        # The loop counts only what it *skips*; totals come from the
-        # columns, so the hot path carries no per-event counters.
-        mem_fed = cols.memory_count - skipped
-        self.events_processed += mem_fed + cols.sync_count
-        return mem_fed, cols.sync_count
+    def feed_batch(self, cols: SegmentColumns) -> None:
+        """Consume one decoded segment's columns."""
+        self._batch_hb(cols)
+        # The total comes from the columns, so the hot path carries no
+        # per-event counter.
+        self.events_processed += cols.count
 
     # The batch loop inlines the sync rule rather than calling out:
     # acquire joins the SyncVar's clock into the thread's; release joins
@@ -187,15 +171,11 @@ class FlatDetector:
     # one joined with the var, vvc <= vc pointwise, so the acquire join
     # is a no-op and the release join is exactly ``vvc[:] = vc``.
 
-    def _batch_hb(self, cols, shard_id, num_shards, block_shift):
-        """The reference happens-before algorithm, inlined over columns.
-
-        Returns the number of memory events the shard filter skipped.
-        """
+    def _batch_hb(self, cols) -> None:
+        """The reference happens-before algorithm, inlined over columns."""
         domain_col = cols.sync_domains
         slot_of = self._slot_of
         ctx = self._ctx
-        epochs = self._epochs
         tids = self._slots.tids
         var_clocks = self._var_clocks
         var_clocks_get = var_clocks.get
@@ -204,9 +184,7 @@ class FlatDetector:
         addresses = self._addresses
         record = self.report.record
         alloc_as_sync = self.alloc_as_sync
-        filtered = shard_id is not None
         sync_at = 0
-        skipped = 0
         last_tid = None
         slot = -1
         vc = None
@@ -254,11 +232,7 @@ class FlatDetector:
                     own += 1
                     vc[slot] = own
                     me = (slot << EPOCH_SHIFT) | own
-                    epochs[slot] = me
                     ctx[slot] = (vc, me, own)
-                continue
-            if filtered and (addr >> block_shift) % num_shards != shard_id:
-                skipped += 1
                 continue
             if tid != last_tid:
                 try:
@@ -296,7 +270,6 @@ class FlatDetector:
                 state[1] = pc
             else:
                 state[2][slot] = (own, pc)
-        return skipped
 
     # -- event objects -----------------------------------------------------
     def feed_all(self, events: Iterable[Event]) -> "FlatDetector":

@@ -293,7 +293,7 @@ def decode_segment(data: bytes, offset: int = 0) -> Tuple[List[Event], int]:
 class SegmentBatcher:
     """Read encoded frames one at a time straight into a columns sink.
 
-    Both streaming readers go through this: a shard worker feeding each
+    Both streaming readers go through this: a detector worker feeding each
     SEGMENT frame as it arrives (:class:`repro.service.shard.ShardDetector`)
     and ``repro analyze`` walking a v2 log.  ``push`` decodes one frame
     with :func:`decode_segment_columns` and hands its columns to the sink

@@ -8,25 +8,23 @@ races centrally.  This package is that serving layer for the reproduction:
   log segments from many concurrent clients over Unix or TCP sockets, with
   backpressure (at most ``queue_depth`` segments in flight per worker
   before a client's next segment waits), a pool of detector worker
-  *processes* sharded
-  by address range, crash-tolerant journal replay, and a deduplicating
-  aggregator with a ``status``/report endpoint.
+  *processes*, each client analyzed whole by one of them, crash-tolerant
+  journal replay, and a deduplicating aggregator with a ``status``/report
+  endpoint.
 * :class:`TelemetryClient` — the wire client (``repro submit``), plus
   :class:`TelemetrySink`, a harness event sink that streams a live run into
   the server as it executes.
 
-The sharding invariant that keeps detection exact: **every shard receives
-every synchronization event** (so each shard's happens-before relation is
-complete — the paper's no-false-positives guarantee, §4.2), while memory
-events route only to the shard owning their address range.  Races relate
-accesses to one address, so the union of per-shard reports equals the
-single-detector report exactly: no false positives, no lost races.
+One worker sees a client's whole event stream in order, so its report is
+the offline detector's on the same stream: every sync event keeps the
+happens-before relation complete (the paper's no-false-positives
+guarantee, §4.2).
 """
 
 from .client import SubmitResult, TelemetryClient, TelemetrySink
 from .protocol import ProtocolError, parse_address
 from .server import TelemetryServer
-from .shard import ShardDetector, shard_of
+from .shard import ShardDetector
 
 __all__ = [
     "TelemetryServer",
@@ -34,7 +32,6 @@ __all__ = [
     "TelemetrySink",
     "SubmitResult",
     "ShardDetector",
-    "shard_of",
     "ProtocolError",
     "parse_address",
 ]

@@ -9,9 +9,8 @@ Two producers exist, matching the two halves of the deployment story:
   the order must be a valid happens-before processing order before it
   goes on the wire), chop it into segments, and stream them with
   per-segment ACKs.  The final END frame blocks until the server has
-  finished analyzing the log (every shard of it, when the server splits
-  logs by address), so a returned :class:`SubmitResult` means the
-  submission is fully folded into the fleet report.
+  finished analyzing the log, so a returned :class:`SubmitResult` means
+  the submission is fully folded into the fleet report.
 
 * :class:`TelemetrySink` — a harness event sink (`ProfilingHarness(sink=…)`)
   that streams segments *while the profiled run executes*.  Live events

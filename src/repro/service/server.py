@@ -7,48 +7,41 @@ the whole fleet by PC pair.
 
 Data flow::
 
-    clients ──frames──▶ connection threads (journal) ──▶ each owning
+    clients ──frames──▶ connection threads (journal) ──▶ the owning
         worker's input pipe ──▶ detector workers ──▶ each worker's
         result pipe ──▶ its reader thread ──▶ aggregator (dedup + persist)
 
 * **Backpressure**: at most ``queue_depth`` segments are in flight (sent
   and not yet answered) to each worker.  The connection thread that read
-  a SEGMENT waits while an owner is at that cap, writes the segment into
-  the owners' pipes itself, and only then ACKs it, so a worker that
-  falls behind slows its clients instead of the daemon growing without
-  bound.  A pipe is only ever written outside the server lock: a worker
-  blocked on a full result pipe stops reading its input until its reader
-  thread, which needs the lock, drains it.
-* **Assignment**: ``num_shards`` logical shards partition each client's
-  address space (:func:`repro.service.shard.shard_of`).  At HELLO every
-  (client, shard) pair goes to the worker with the fewest pending pairs
-  (lowest index on ties) and stays there; the client's segments and its
-  finalize go only to the workers that own its shards.  Each owner feeds
-  its shards the client's whole sync stream (complete happens-before per
-  shard, §4.2) and only their own memory events.  The default is one
-  shard, so a log is decoded and detected once, by one worker, and the
-  workers run different clients in parallel; more shards split one
-  client's addresses across workers, at the price of each shard
-  decoding every frame and replaying every sync event.
+  a SEGMENT waits while the client's owner is at that cap, writes the
+  segment into the owner's pipe itself, and only then ACKs it, so a
+  worker that falls behind slows its clients instead of the daemon
+  growing without bound.  A pipe is only ever written outside the server
+  lock: a worker blocked on a full result pipe stops reading its input
+  until its reader thread, which needs the lock, drains it.
+* **Assignment**: at HELLO a client goes to the worker with the fewest
+  pending clients (lowest index on ties) and stays there; its segments
+  and its finalize go only to that owner.  A log is decoded and detected
+  once, by one worker, and the workers run different clients in
+  parallel.
 * **Crash tolerance**: the connection thread journals every segment
   before writing it.  A supervisor watches the workers; when one dies
-  exactly its pending (client, shard) pairs move to the least-loaded
-  survivors (or a fresh replacement) and those clients' journals are
-  replayed for the moved pairs only; a moved client's next frame waits
-  until its replay is written.  A write that finds its worker dead is
-  dropped, since the replay covers it.  A torn client connection discards
-  only that client's pending state; the server never corrupts.  Each
-  worker answers through a one-way pipe of its own, read by a thread of
-  its own, so a worker killed mid-write tears only its own channel: its
+  exactly its pending clients move to the least-loaded survivors (or a
+  fresh replacement) and those clients' journals are replayed to their
+  new owners; a moved client's next frame waits until its replay is
+  written.  A write that finds its worker dead is dropped, since the
+  replay covers it.  A torn client connection discards only that
+  client's pending state; the server never corrupts.  Each worker
+  answers through a one-way pipe of its own, read by a thread of its
+  own, so a worker killed mid-write tears only its own channel: its
   reader sees EOF or a torn message and exits, and every other worker
   keeps answering.
-* **Aggregation**: a client's shard reports are merged in shard order
-  when its last one arrives, and the client is folded once into a running
-  fleet report, deduplicated by PC pair: counts add, addresses union, and
-  each race keeps the snapshot baseline's example, else the lowest client
-  id's, so the result does not depend on completion order.  The client's
-  state is then dropped.  STATUS and REPORT read the running report
-  (optionally filtered through a
+* **Aggregation**: when a client's report arrives it is folded once into
+  a running fleet report, deduplicated by PC pair: counts add, addresses
+  union, and each race keeps the snapshot baseline's example, else the
+  lowest client id's, so the result does not depend on completion order.
+  The client's state is then dropped.  STATUS and REPORT read the running
+  report (optionally filtered through a
   :class:`~repro.core.suppressions.SuppressionList`), so a query costs
   O(races), not O(clients served).  With a ``state_dir`` the fleet report
   is persisted after every completed client, before its END is answered,
@@ -62,8 +55,7 @@ import os
 import socket
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.suppressions import SuppressionList
 from ..detector.races import RaceKey, RaceReport
@@ -107,7 +99,8 @@ def _close_socket(sock: socket.socket) -> None:
     """Shut ``sock`` down, then close it.  close() alone does not wake a
     thread blocked in accept() on a listener, and does not end a
     connection while another process holds a copy of its descriptor, as a
-    worker forked after the accept does; shutdown() does both."""
+    worker forked after the accept returns and before the connection is
+    registered does; shutdown() does both."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
@@ -137,15 +130,12 @@ class _Worker:
         self.send_lock = threading.Lock()
         #: the read end of the worker's result pipe
         self.results = results
-        #: (client_id, shard_id) pairs owned here whose report has not
-        #: arrived: the load that assignment balances
-        self.pending: Set[Tuple[int, int]] = set()
-        #: shard ids of each segment sent here and not yet answered, whose
-        #: count the cap bounds; the worker answers every segment with one
-        #: ack or error, in pipe order.  Entries are added before the
-        #: write, so two clients' frames can reach the pipe in the other
-        #: order: the count is exact, the shard of an entry may lag.
-        self.in_flight: Deque[Tuple[int, ...]] = deque()
+        #: ids of the clients owned here whose report has not arrived:
+        #: the load that assignment balances
+        self.pending: Set[int] = set()
+        #: segments sent here and not yet answered, which the cap bounds;
+        #: the worker answers every segment with one ack or error
+        self.in_flight = 0
 
     @property
     def alive(self) -> bool:
@@ -166,17 +156,19 @@ class _PipeEnd:
 
 
 def _run_worker(worker_id: int, inbox, results, inherited_writers,
-                num_shards: int, alloc_as_sync: bool) -> None:
+                inherited_sockets) -> None:
     """A detector process: close the input-pipe write ends the fork copied
     in, so that the server closing its own end reads here as EOF (the
-    signal to stop), then run the worker loop."""
-    for writer in inherited_writers:
+    signal to stop), and the server's sockets, so that a worker never
+    keeps a listener or a client connection open; then run the worker
+    loop.  close(), not shutdown(): shutting a copy down would end the
+    server's own socket."""
+    for handle in inherited_writers + inherited_sockets:
         try:
-            writer.close()
+            handle.close()
         except OSError:
             pass
-    worker_main(worker_id, _PipeEnd(inbox), _PipeEnd(results), num_shards,
-                alloc_as_sync)
+    worker_main(worker_id, _PipeEnd(inbox), _PipeEnd(results))
 
 
 class _ClientState:
@@ -185,8 +177,7 @@ class _ClientState:
     connection keeps it after that."""
 
     __slots__ = ("client_id", "name", "journal", "enqueued", "ended",
-                 "aborted", "replaying", "owners", "shard_reports", "report",
-                 "completed")
+                 "aborted", "replaying", "owner", "report", "completed")
 
     def __init__(self, client_id: int, name: str):
         self.client_id = client_id
@@ -196,31 +187,28 @@ class _ClientState:
         #: segments accepted from the client; only its connection's
         #: thread reads or writes this
         self.enqueued = 0
-        #: END has been routed to the owners
+        #: END has been routed to the owner
         self.ended = False
         self.aborted = False
-        #: the supervisor is writing this client's journal to new owners;
+        #: the supervisor is writing this client's journal to a new owner;
         #: the client's next frame waits for that
         self.replaying = False
-        #: worker index owning each shard of this client, by shard id
-        self.owners: List[int] = []
-        self.shard_reports: Dict[int, RaceReport] = {}
+        #: index of the worker analyzing this client
+        self.owner = -1
         self.report: Optional[RaceReport] = None
         self.completed = threading.Event()
 
 
 class TelemetryServer:
     """Streaming race detection over fleet-submitted event logs, each
-    (client, shard) pair analyzed by one worker process."""
+    client analyzed by one worker process."""
 
     def __init__(
         self,
         addresses: Sequence[str],
         *,
         workers: int = 2,
-        shards: Optional[int] = None,
         queue_depth: int = 64,
-        alloc_as_sync: bool = True,
         state_dir: Optional[str] = None,
         program: Optional[Program] = None,
         suppressions: Optional[SuppressionList] = None,
@@ -230,15 +218,11 @@ class TelemetryServer:
             raise ValueError("at least one listen address is required")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.num_shards = shards if shards is not None else 1
-        if self.num_shards < 1:
-            raise ValueError("shards must be >= 1")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         self._address_specs = list(addresses)
         self._num_workers = workers
         self._queue_depth = queue_depth
-        self._alloc_as_sync = alloc_as_sync
         self._state_dir = state_dir
         self._program = program
         self._suppressions = suppressions
@@ -382,11 +366,12 @@ class TelemetryServer:
         self._next_worker_id += 1
         inbox, sender = _MP.Pipe(duplex=False)
         results, writer = _MP.Pipe(duplex=False)
+        with self._mu:
+            sockets = self._listeners + list(self._connections)
         process = _MP.Process(
             target=_run_worker,
             args=(worker_id, inbox, writer,
-                  [sender] + [w.in_queue for w in self._workers],
-                  self.num_shards, self._alloc_as_sync),
+                  [sender] + [w.in_queue for w in self._workers], sockets),
             daemon=True,
             name=f"repro-detector-{index}",
         )
@@ -403,21 +388,12 @@ class TelemetryServer:
     def _live_worker_indices(self) -> List[int]:
         return [i for i, w in enumerate(self._workers) if w.alive]
 
-    def _assign(self, client_id: int, shard_id: int,
-                candidates: List[int]) -> int:
-        """Give one (client, shard) pair to the candidate worker with the
-        fewest pending pairs, lowest index on ties (held _mu)."""
+    def _assign(self, state: _ClientState, candidates: List[int]) -> None:
+        """Give a client to the candidate worker with the fewest pending
+        clients, lowest index on ties (held _mu)."""
         index = min(candidates, key=lambda i: len(self._workers[i].pending))
-        self._workers[index].pending.add((client_id, shard_id))
-        return index
-
-    @staticmethod
-    def _routes(state: _ClientState) -> Dict[int, Tuple[int, ...]]:
-        """Worker index → the client's shards it owns, in shard order."""
-        routes: Dict[int, Tuple[int, ...]] = {}
-        for shard_id, index in enumerate(state.owners):
-            routes[index] = routes.get(index, ()) + (shard_id,)
-        return routes
+        self._workers[index].pending.add(state.client_id)
+        state.owner = index
 
     def _post(self, sends: List[Tuple[_Worker, tuple]]) -> None:
         """Write each message into its worker's input pipe, in order.
@@ -425,8 +401,8 @@ class TelemetryServer:
         Never call this holding _mu: a write blocks while the pipe is full,
         and a worker blocked on its own full result pipe reads no input
         until its reader thread, which needs _mu, drains that.  A write to
-        a dead worker fails and is dropped: whoever takes over its pairs
-        replays the client's journal, this frame included."""
+        a dead worker fails and is dropped: whoever takes over its clients
+        replays each client's journal, this frame included."""
         for worker, message in sends:
             with worker.send_lock:
                 try:
@@ -475,34 +451,27 @@ class TelemetryServer:
     def _route_segment(self, state: _ClientState, seq: int,
                        payload: bytes) -> bool:
         """Journal a pending client's segment and write it to the client's
-        owners once each has fewer than ``queue_depth`` segments in
-        flight: the backpressure point.  False if the server stopped
-        first."""
+        owner once that has fewer than ``queue_depth`` segments in flight:
+        the backpressure point.  False if the server stopped first."""
         with self._mu:
             while True:
                 if self._stopping:
                     return False
-                routes = self._routes(state)
-                if not state.replaying and all(
-                        len(self._workers[index].in_flight)
-                        < self._queue_depth for index in routes):
+                worker = self._workers[state.owner]
+                if (not state.replaying
+                        and worker.in_flight < self._queue_depth):
                     break
                 self._room.wait()
             assert seq == len(state.journal), "segments out of order"
             state.journal.append(payload)
             self._counters["segments_ingested"] += 1
             self._counters["bytes_ingested"] += len(payload)
-            sends = []
-            for index, shard_ids in routes.items():
-                worker = self._workers[index]
-                worker.in_flight.append(shard_ids)
-                sends.append((worker, ("segment", state.client_id, seq,
-                                       shard_ids, payload)))
-        self._post(sends)
+            worker.in_flight += 1
+        self._post([(worker, ("segment", state.client_id, seq, payload))])
         return True
 
     def _route_end(self, client_id: int) -> None:
-        """Send a pending client's finalize to its owners, behind its
+        """Send a pending client's finalize to its owner, behind its
         segments."""
         with self._mu:
             state = self._clients.get(client_id)
@@ -510,19 +479,17 @@ class TelemetryServer:
                 return
             self._await_replay(state)
             state.ended = True
-            sends = [(self._workers[index], ("finalize", client_id, shard_ids))
-                     for index, shard_ids in self._routes(state).items()]
-        self._post(sends)
+            worker = self._workers[state.owner]
+        self._post([(worker, ("finalize", client_id))])
 
     def _route_discard(self, state: _ClientState) -> None:
-        """Tell an aborted client's owners to drop it, behind its last
-        segments and any replay of them, so no owner sees a segment of the
-        client after its discard."""
+        """Tell an aborted client's owner to drop it, behind its last
+        segments and any replay of them, so the owner sees no segment of
+        the client after its discard."""
         with self._mu:
             self._await_replay(state)
-            sends = [(self._workers[index], ("discard", state.client_id))
-                     for index in self._routes(state)]
-        self._post(sends)
+            worker = self._workers[state.owner]
+        self._post([(worker, ("discard", state.client_id))])
 
     def _start_reader(self, worker: _Worker) -> None:
         self._start_thread(self._read_results, worker.results,
@@ -541,10 +508,9 @@ class TelemetryServer:
                     verb = message[0]
                     if verb == "ack":
                         if self._segment_answered(message[1]):
-                            self._counters["events_analyzed"] += message[5]
+                            self._counters["events_analyzed"] += message[4]
                     elif verb == "report":
-                        _, _, client_id, shard_id, wire, _ = message
-                        self._on_shard_report(client_id, shard_id, wire)
+                        self._on_report(message[2], message[3])
                     elif verb == "error":
                         self._counters["segment_errors"] += 1
                         self._segment_answered(message[1])
@@ -558,45 +524,37 @@ class TelemetryServer:
         worker = self._worker_by_id.get(worker_id)
         if worker is None or not worker.in_flight:
             return False
-        worker.in_flight.popleft()
+        worker.in_flight -= 1
         self._room.notify_all()
         return True
 
-    def _on_shard_report(self, client_id: int, shard_id: int,
-                         wire: Dict[str, Any]) -> None:
+    def _on_report(self, client_id: int, wire: Dict[str, Any]) -> None:
+        """Complete a client with its report (held _mu).  A report comes
+        only after the client's finalize, so after its END."""
         state = self._clients.get(client_id)
         if state is None:
-            return  # completed or aborted
-        if shard_id in state.shard_reports:
-            return  # duplicate from a pre-crash worker's last gasp
-        state.shard_reports[shard_id] = report_from_wire(wire)
-        # The pair is done whichever worker reported it: a dead owner's
-        # report can land after its pair moved to a survivor.
-        self._workers[state.owners[shard_id]].pending.discard(
-            (client_id, shard_id))
-        if state.ended and len(state.shard_reports) == self.num_shards:
-            merged = RaceReport()
-            for sid in sorted(state.shard_reports):
-                merged.merge(state.shard_reports[sid])
-            state.report = merged
-            # The journal exists only so a crash can replay this client's
-            # segments; nothing replays a completed client, so release the
-            # payloads (and the now-merged shard reports) instead of
-            # holding every submitted byte for the daemon's lifetime.
-            state.journal.clear()
-            state.shard_reports.clear()
-            del self._clients[client_id]
-            self._fold(client_id, merged)
-            self._counters["clients_completed"] += 1
-            try:
-                self._write_snapshot()
-            except Exception:
-                # A failed snapshot (disk full, bad state_dir) must not
-                # kill the reader thread — the in-memory report is
-                # intact and the next completion retries the write.
-                self._counters["snapshot_errors"] += 1
-            # Only now, with the snapshot on disk, may END be answered.
-            state.completed.set()
+            # Completed or aborted: a dead owner's report can land after
+            # its client moved to a survivor, and the survivor's after it.
+            return
+        self._workers[state.owner].pending.discard(client_id)
+        state.report = report_from_wire(wire)
+        # The journal exists only so a crash can replay this client's
+        # segments; nothing replays a completed client, so release the
+        # payloads instead of holding every submitted byte for the
+        # daemon's lifetime.
+        state.journal.clear()
+        del self._clients[client_id]
+        self._fold(client_id, state.report)
+        self._counters["clients_completed"] += 1
+        try:
+            self._write_snapshot()
+        except Exception:
+            # A failed snapshot (disk full, bad state_dir) must not kill
+            # the reader thread — the in-memory report is intact and the
+            # next completion retries the write.
+            self._counters["snapshot_errors"] += 1
+        # Only now, with the snapshot on disk, may END be answered.
+        state.completed.set()
 
     def _fold(self, client_id: int, report: RaceReport) -> None:
         """Add a completed client's report to the fleet report (held _mu).
@@ -638,10 +596,10 @@ class TelemetryServer:
 
     def _on_worker_death(self, index: int, replaying: List[_ClientState],
                          sends: List[Tuple[_Worker, tuple]]) -> None:
-        """Move a dead worker's pending pairs to the least-loaded survivors,
-        mark their clients as replaying, and add the messages that replay
-        those clients' journals to ``sends``, for the caller to write once
-        it has released _mu (held _mu)."""
+        """Move a dead worker's pending clients to the least-loaded
+        survivors, mark them as replaying, and add the messages that replay
+        their journals to ``sends``, for the caller to write once it has
+        released _mu (held _mu)."""
         self._counters["worker_failures"] += 1
         dead = self._workers[index]
         dead.process.join(timeout=1.0)
@@ -649,10 +607,10 @@ class TelemetryServer:
         # Its un-acked segments will never be acked: write them off, and
         # wake the connection threads waiting for it to make room.
         del self._worker_by_id[dead.worker_id]
-        dead.in_flight.clear()
+        dead.in_flight = 0
         self._room.notify_all()
-        # Pending pairs are exactly those whose report has not arrived and
-        # whose client is neither completed nor aborted.
+        # Pending clients are exactly those whose report has not arrived
+        # and that are neither completed nor aborted.
         lost = sorted(dead.pending)
         dead.pending.clear()
         survivors = self._live_worker_indices()
@@ -662,24 +620,17 @@ class TelemetryServer:
             self._workers[index] = self._spawn_worker(index)
             self._start_reader(self._workers[index])
             survivors = [index]
-        moved: Dict[int, Dict[int, Tuple[int, ...]]] = {}
-        for client_id, shard_id in lost:
-            owner = self._assign(client_id, shard_id, survivors)
-            self._clients[client_id].owners[shard_id] = owner
-            by_owner = moved.setdefault(client_id, {})
-            by_owner[owner] = by_owner.get(owner, ()) + (shard_id,)
-        for client_id, by_owner in moved.items():
+        for client_id in lost:
             state = self._clients[client_id]
+            self._assign(state, survivors)
             state.replaying = True
             replaying.append(state)
-            for owner, shard_ids in by_owner.items():
-                worker = self._workers[owner]
-                for seq, payload in enumerate(state.journal):
-                    worker.in_flight.append(shard_ids)
-                    sends.append((worker, ("segment", client_id, seq,
-                                           shard_ids, payload)))
-                if state.ended:
-                    sends.append((worker, ("finalize", client_id, shard_ids)))
+            worker = self._workers[state.owner]
+            for seq, payload in enumerate(state.journal):
+                sends.append((worker, ("segment", client_id, seq, payload)))
+            worker.in_flight += len(state.journal)
+            if state.ended:
+                sends.append((worker, ("finalize", client_id)))
 
     # -- connections -------------------------------------------------------
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -854,8 +805,8 @@ class TelemetryServer:
         return state, False
 
     def _open_client(self, name: Optional[str]) -> _ClientState:
-        """Register a client at HELLO and give each of its shards to the
-        least-loaded worker."""
+        """Register a client at HELLO and give it to the least-loaded
+        worker."""
         with self._mu:
             client_id = self._next_client_id
             self._next_client_id += 1
@@ -864,12 +815,11 @@ class TelemetryServer:
                 else str(name))
             self._clients[client_id] = state
             # With no worker alive, one not yet known dead takes the
-            # pairs; the supervisor moves them on when it notices.
+            # client; the supervisor moves it on when it notices.
             candidates = self._live_worker_indices() or [
                 i for i, w in enumerate(self._workers)
                 if w.process is not None]
-            state.owners = [self._assign(client_id, shard_id, candidates)
-                            for shard_id in range(self.num_shards)]
+            self._assign(state, candidates)
             self._counters["clients_total"] += 1
         return state
 
@@ -881,13 +831,12 @@ class TelemetryServer:
 
     def _abort(self, state: _ClientState) -> None:
         """Give up on a client that will never complete (held _mu).  The
-        caller then sends its owners a ``discard`` (_route_discard)."""
+        caller then sends its owner a ``discard`` (_route_discard)."""
         state.aborted = True
         state.journal.clear()
         del self._clients[state.client_id]
         self._counters["clients_aborted"] += 1
-        for shard_id, index in enumerate(state.owners):
-            self._workers[index].pending.discard((state.client_id, shard_id))
+        self._workers[state.owner].pending.discard(state.client_id)
 
     def _decode_body(self, conn: socket.socket,
                      payload: bytes) -> Optional[Dict[str, Any]]:
@@ -915,23 +864,17 @@ class TelemetryServer:
         with self._mu:
             uptime = max(time.monotonic() - self._start_time, 1e-9)
             counters = dict(self._counters)
-            lag = [0] * self.num_shards
-            in_flight = 0
-            for worker in self._workers:
-                in_flight += len(worker.in_flight)
-                for shard_ids in worker.in_flight:
-                    for shard_id in shard_ids:
-                        lag[shard_id] += 1
+            lag = [worker.in_flight for worker in self._workers]
             return {
                 **counters,
                 "uptime_s": round(uptime, 3),
                 "bytes_per_s": round(counters["bytes_ingested"] / uptime, 1),
                 # segments in flight on all workers, and the cap per worker
-                "queue_depth": in_flight,
+                "queue_depth": sum(lag),
                 "queue_capacity": self._queue_depth,
-                "num_shards": self.num_shards,
                 "workers_alive": len(self._live_worker_indices()),
-                "shard_lag": {str(s): n for s, n in enumerate(lag)},
+                # segments in flight per worker, by worker index
+                "shard_lag": {str(i): n for i, n in enumerate(lag)},
                 "clients_pending": len(self._clients),
                 "races_found": self._fleet.num_static,
                 "verdicts_known": len(self._verdicts),

@@ -14,8 +14,8 @@ Three layers of evidence:
 * hypothesis-randomized streams — interleaved sync/memory traffic over all
   sync kinds including page alloc/free, both ``alloc_as_sync`` modes, and
   any split into batches;
-* directed edge cases — page alloc/free in both modes, epochs at batch
-  edges, and addresses at shard-filter block boundaries.
+* directed edge cases — page alloc/free in both modes, and epochs at
+  batch edges.
 
 The reference ``FastTrackDetector`` is held to HB here as well.  One
 deliberate non-assertion: FastTrack and HB may report *different PC pairs*
@@ -181,18 +181,9 @@ class TestEscalationEdges:
             assert_flat_matches(events, alloc_as_sync=alloc)
 
 
-# -- the pure loop under chunking, frames and shard filters ------------------
+# -- the pure loop under chunking and frames --------------------------------
 
-def routed(events, shard):
-    """``events`` without the memory events that ``shard`` filters out."""
-    if shard is None:
-        return list(events)
-    shard_id, num_shards, block_shift = shard
-    return [e for e in events if isinstance(e, SyncEvent)
-            or (e.addr >> block_shift) % num_shards == shard_id]
-
-
-def run_flat(events, *, alloc_as_sync=True, batch_size=None, shard=None):
+def run_flat(events, *, alloc_as_sync=True, batch_size=None):
     """Feed ``events`` through a FlatDetector in ``batch_size`` chunks."""
     detector = FlatDetector("hb", alloc_as_sync=alloc_as_sync)
     if batch_size is None:
@@ -201,45 +192,32 @@ def run_flat(events, *, alloc_as_sync=True, batch_size=None, shard=None):
         chunks = [events[i:i + batch_size]
                   for i in range(0, len(events), batch_size)]
     for chunk in chunks:
-        cols = columns_from_events(chunk)
-        if shard is None:
-            detector.feed_batch(cols)
-        else:
-            shard_id, num_shards, block_shift = shard
-            detector.feed_batch(cols, shard_id=shard_id,
-                                num_shards=num_shards,
-                                block_shift=block_shift)
+        detector.feed_batch(columns_from_events(chunk))
     return detector
 
 
-def assert_same_as_one_feed(detector, events, *, alloc_as_sync=True,
-                            shard=None):
-    """``detector`` vs one unfiltered feed of what ``shard`` keeps:
-    byte-identical reports AND event counts."""
+def assert_same_as_one_feed(detector, events, *, alloc_as_sync=True):
+    """``detector`` vs one feed of ``events``: byte-identical reports AND
+    event counts."""
     whole = FlatDetector("hb", alloc_as_sync=alloc_as_sync)
-    whole.feed_batch(columns_from_events(routed(events, shard)))
+    whole.feed_batch(columns_from_events(list(events)))
     assert detector.kernel == whole.kernel == "pure"
     assert report_key(detector) == report_key(whole)
     assert detector.events_processed == whole.events_processed
-    return whole
 
 
-def assert_kernels_agree(events, *, alloc_as_sync=True, batch_size=None,
-                         shard=None):
-    """Chunked, shard-filtered feeds vs one feed of the routed events."""
+def assert_kernels_agree(events, *, alloc_as_sync=True, batch_size=None):
+    """Chunked feeds vs one feed of the same events."""
     chunked = run_flat(events, alloc_as_sync=alloc_as_sync,
-                       batch_size=batch_size, shard=shard)
-    assert_same_as_one_feed(chunked, events, alloc_as_sync=alloc_as_sync,
-                            shard=shard)
-    return chunked
+                       batch_size=batch_size)
+    assert_same_as_one_feed(chunked, events, alloc_as_sync=alloc_as_sync)
 
 
 class TestKernelEquivalence:
     """The pure loop is the one kernel: how events reach it is invisible.
 
-    Whole or in chunks, frame by frame through :class:`SegmentBatcher`, or
-    through the in-loop shard filter, the detector must end exactly where
-    one feed of the events it keeps would.
+    Whole or in chunks, or frame by frame through :class:`SegmentBatcher`,
+    the detector must end exactly where one feed of the events would.
     """
 
     @pytest.mark.parametrize("name", WORKLOADS)
@@ -262,21 +240,6 @@ class TestKernelEquivalence:
     def test_randomized_streams(self, events, alloc, batch):
         assert_kernels_agree(events, alloc_as_sync=alloc, batch_size=batch)
 
-    @settings(max_examples=20, deadline=None)
-    @given(events=event_streams(max_events=200),
-           num_shards=st.sampled_from([1, 2, 4]))
-    def test_shard_filter_equivalence(self, events, num_shards):
-        # Per shard, the filter equals dropping the other shards' memory
-        # events up front; across shards, the union of the reports equals
-        # the unsharded report's racy-address set.
-        whole = assert_kernels_agree(events)
-        union = set()
-        for shard_id in range(num_shards):
-            sharded = assert_kernels_agree(
-                events, shard=(shard_id, num_shards, 2))
-            union |= set(sharded.report.addresses)
-        assert union == set(whole.report.addresses)
-
     def test_epoch_collision_at_segment_edges(self):
         # Release ticks between batches: thread 0's clock advances at a
         # batch boundary, so the epoch a thread holds when the next batch
@@ -290,37 +253,3 @@ class TestKernelEquivalence:
             events.append(sync(1, SyncKind.LOCK, 1, 2 * round_no + 2))
         for batch in (5, 6, 11, None):
             assert_kernels_agree(events, batch_size=batch)
-
-    def test_shard_mask_block_boundaries(self):
-        # Addresses straddling block edges: with block_shift=6, addresses
-        # 63 and 64 are different blocks; an off-by-one in the
-        # (addr >> shift) % num_shards filter silently drops or duplicates
-        # the boundary access.
-        edge_addrs = [0, 1, 63, 64, 65, 127, 128, 191, 192, 255]
-        events = []
-        for i, addr in enumerate(edge_addrs * 8):
-            events.append(mem(i % 3, addr, addr & 0x3F, i % 2 == 0))
-        for num_shards in (2, 3, 4):
-            per_shard_counts = []
-            for shard_id in range(num_shards):
-                sharded = assert_kernels_agree(
-                    events, shard=(shard_id, num_shards, 6))
-                per_shard_counts.append(sharded.events_processed)
-            # Every memory event lands on exactly one shard.
-            assert sum(per_shard_counts) == len(events)
-
-    def test_mixed_kernel_and_fallback_sequences(self):
-        # Alternating filtered (one shard, so it keeps everything) and
-        # unfiltered feeds on one detector: both branches of the loop
-        # must leave the same state behind.
-        events = [mem(t, a, a + 1, w) for t in (0, 1)
-                  for a in (0x10, 0x40, 0x80) for w in (True, False)] * 10
-        mixed = FlatDetector("hb")
-        for start in range(0, len(events), 17):
-            cols = columns_from_events(events[start:start + 17])
-            if (start // 17) % 2:
-                mixed.feed_batch(cols, shard_id=0, num_shards=1,
-                                 block_shift=6)
-            else:
-                mixed.feed_batch(cols)
-        assert_same_as_one_feed(mixed, events)

@@ -13,7 +13,7 @@ and without a program and suppressions, the REPORT body and the
 
 The server is never started: each test drives the same calls HELLO, the
 connection thread and the collector make (``_open_client``,
-``_route_end``, ``_on_shard_report``, ``_abort``), with one stand-in
+``_route_end``, ``_on_report``, ``_abort``), with one stand-in
 worker that never dies.
 """
 
@@ -58,11 +58,11 @@ def unstarted_server(state_dir: Optional[str] = None, program=None,
 
 
 def complete(server: TelemetryServer, state, report: RaceReport) -> None:
-    """END the client and deliver its one shard report, as the connection
-    thread and the collector do."""
+    """END the client and deliver its report, as the connection thread
+    and the collector do."""
     with server._mu:
         server._route_end(state.client_id)
-        server._on_shard_report(state.client_id, 0, report_to_wire(report))
+        server._on_report(state.client_id, report_to_wire(report))
 
 
 def abort(server: TelemetryServer, state) -> None:

@@ -70,7 +70,7 @@ def test_loadgen_sustains_fleet_volume():
 
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--unix", sock,
-         "--workers", "2", "--shards", "3"],
+         "--workers", "2"],
         cwd=REPO_ROOT, env=_env(),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )

@@ -3,9 +3,7 @@
 Round-trip fidelity is checked property-style over random event streams —
 with and without zlib — because the telemetry service's exactness argument
 starts with "the segment stream replays the producer's event order
-byte-for-byte".  The address-range sharding partition property lives here
-too: for any event sequence and shard count, the union of per-shard
-reports equals the single-detector report exactly.
+byte-for-byte".
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detector.hb import HappensBeforeDetector
-from repro.detector.races import RaceReport
 from repro.eventlog.encode import decode_log, encode_log
 from repro.eventlog.events import MemoryEvent, SyncEvent, SyncKind
 from repro.eventlog.log import EventLog
@@ -25,7 +21,6 @@ from repro.eventlog.segment import (
     segment_event_count,
     split_log,
 )
-from repro.service.shard import ShardDetector
 
 _DOMAINS = ("mutex", "event", "thread", "atomic", "page")
 
@@ -138,43 +133,3 @@ class TestSegmentValidation:
                         MemoryEvent(0, 64, 2, True)])
         decoded = decode_log(encode_log(log, version=1))
         assert decoded.sync_count == 1 and decoded.memory_count == 1
-
-
-class TestShardingPartition:
-    @settings(max_examples=25, deadline=None)
-    @given(events=st.lists(
-        st.one_of(
-            st.builds(MemoryEvent, tid=st.integers(0, 3),
-                      addr=st.integers(0, 1024), pc=st.integers(0, 30),
-                      is_write=st.booleans()),
-            st.builds(SyncEvent, tid=st.integers(0, 3),
-                      kind=st.sampled_from([SyncKind.LOCK, SyncKind.UNLOCK,
-                                            SyncKind.FORK, SyncKind.JOIN]),
-                      var=st.tuples(st.just("mutex"), st.integers(0, 2)),
-                      timestamp=st.integers(0, 100), pc=st.integers(0, 30)),
-        ), max_size=80),
-        num_shards=st.integers(1, 4))
-    def test_shard_union_equals_full_detection(self, events, num_shards):
-        full = HappensBeforeDetector()
-        full.feed_all(events)
-
-        frames = [encode_segment(events[i:i + 7])
-                  for i in range(0, len(events), 7)]
-        merged = RaceReport()
-        for shard_id in range(num_shards):
-            shard = ShardDetector(shard_id, num_shards)
-            for frame in frames:
-                shard.feed_frame(frame)
-            merged.merge(shard.report)
-
-        assert merged.occurrences == full.report.occurrences
-        assert merged.addresses == full.report.addresses
-
-    def test_every_shard_sees_every_sync_event(self):
-        events = [SyncEvent(0, SyncKind.LOCK, ("mutex", 1), 1, 0),
-                  MemoryEvent(0, 0, 1, True),
-                  MemoryEvent(0, 64, 2, True)]
-        shard = ShardDetector(1, 2)
-        assert shard.feed_frame(encode_segment(events)) == 3
-        assert shard.sync_events == 1
-        assert shard.memory_events == 1  # only addr 64 belongs to shard 1

@@ -3,12 +3,11 @@
 The acceptance bar is *end-to-end parity*: N concurrent clients submitting
 segmented logs must yield a deduped race report equal — same race set, same
 occurrence counts, deterministic ordering — to running the offline
-`HappensBeforeDetector` on the same logs in one process, across multiple
-shard counts; with the default single shard, the whole report (examples and
-addresses too) is the offline `FlatDetector`'s.  On top of that: the
-client-to-worker assignment, bounded-queue backpressure, worker-crash
-journal replay, torn-connection isolation, rolling-state persistence, and
-the live harness sink.
+`HappensBeforeDetector` on the same logs in one process, and the whole
+report (examples and addresses too) is the offline `FlatDetector`'s.  On
+top of that: the client-to-worker assignment, bounded-queue backpressure,
+worker-crash journal replay, torn-connection isolation, rolling-state
+persistence, and the live harness sink.
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ def offline_reference(*logs: EventLog) -> RaceReport:
 
 
 def offline_wire(*logs: EventLog) -> dict:
-    """The REPORT body's ``report`` a single-shard server must serve for
-    these logs submitted as clients 1, 2, ...: the offline FlatDetector's
-    report of each log's stream, merged in client-id order."""
+    """The REPORT body's ``report`` the server must serve for these logs
+    submitted as clients 1, 2, ...: the offline FlatDetector's report of
+    each log's stream, merged in client-id order."""
     merged = RaceReport()
     for log in logs:
         detector = FlatDetector("hb").feed_all(merge_thread_logs(log).events)
@@ -148,19 +147,14 @@ class TestProtocol:
 # -- end-to-end parity -----------------------------------------------------
 
 class TestFleetParity:
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_concurrent_clients_match_offline_detector(self, fleet_logs,
-                                                       shards):
-        """Occurrence counts match the offline detector at every shard
-        count.  With one shard each log is analyzed whole by one worker,
-        so the whole REPORT body, examples and addresses included, is the
-        offline FlatDetector's.  With more shards a client's report merges
-        its shard reports in shard order, so a race seen on several
-        shards may keep another shard's example."""
+    def test_concurrent_clients_match_offline_detector(self, fleet_logs):
+        """Each log is analyzed whole by one worker, so occurrence counts
+        match the offline detector and the whole REPORT body, examples and
+        addresses included, is the offline FlatDetector's."""
         log_a, log_b = fleet_logs
         reference = offline_reference(log_a, log_b)
         address = f"unix:{short_socket_path()}"
-        with TelemetryServer([address], workers=2, shards=shards,
+        with TelemetryServer([address], workers=2,
                              queue_depth=8) as server:
             results = []
 
@@ -187,20 +181,18 @@ class TestFleetParity:
         assert status["clients_completed"] == 2
         assert status["races_found"] == reference.num_static
         assert all(lag == 0 for lag in status["shard_lag"].values())
-        if shards == 1:
-            in_id_order = [log for _, log, _ in sorted(results,
-                                                       key=lambda r: r[0])]
-            assert body["report"] == offline_wire(*in_id_order)
-            assert body["num_dynamic"] == reference.num_dynamic
+        in_id_order = [log for _, log, _ in sorted(results,
+                                                   key=lambda r: r[0])]
+        assert body["report"] == offline_wire(*in_id_order)
+        assert body["num_dynamic"] == reference.num_dynamic
 
-    def test_report_ordering_is_deterministic_across_shard_counts(
+    def test_report_ordering_is_deterministic_across_worker_counts(
             self, fleet_logs):
         log_a, log_b = fleet_logs
-        rows_by_shards = {}
-        for shards in (1, 3):
+        rows_by_workers = {}
+        for workers in (1, 3):
             address = f"unix:{short_socket_path()}"
-            with TelemetryServer([address], workers=2,
-                                 shards=shards) as server:
+            with TelemetryServer([address], workers=workers) as server:
                 with TelemetryClient(address) as client:
                     client.submit_log(log_a, segment_events=64)
                 with TelemetryClient(address) as client:
@@ -211,8 +203,8 @@ class TestFleetParity:
                     rows_again = [(tuple(r["pcs"]), r["count"])
                                   for r in client.report()["report"]["races"]]
             assert rows == rows_again
-            rows_by_shards[shards] = rows
-        assert rows_by_shards[1] == rows_by_shards[3]
+            rows_by_workers[workers] = rows
+        assert rows_by_workers[1] == rows_by_workers[3]
 
     def test_tcp_listener_works_too(self, fleet_logs):
         log_a, _ = fleet_logs
@@ -225,8 +217,8 @@ class TestFleetParity:
 
 # -- client-to-worker assignment -------------------------------------------
 
-def pending_pairs(server) -> list:
-    """Per worker, how many (client, shard) pairs await their report."""
+def pending_clients(server) -> list:
+    """Per worker, how many of its clients await their report."""
     with server._mu:
         return [len(worker.pending) for worker in server._workers]
 
@@ -247,52 +239,48 @@ class TestRouting:
             second = TelemetryClient(address).connect()
             first_id = first.hello("first")
             second_id = second.hello("second")
-            # Two clients open at once land on different workers, each
-            # owning the client's one shard.
-            assert server._clients[first_id].owners == [0]
-            assert server._clients[second_id].owners == [1]
-            assert pending_pairs(server) == [1, 1]
+            # Two clients open at once land on different workers.
+            assert server._clients[first_id].owner == 0
+            assert server._clients[second_id].owner == 1
+            assert pending_clients(server) == [1, 1]
             second.submit_log(log_b, segment_events=64)
             second.close()
-            assert pending_pairs(server) == [1, 0]
+            assert pending_clients(server) == [1, 0]
             # The third goes to the worker that is now less loaded, not
             # to the lowest index.
             with TelemetryClient(address) as third:
                 third_id = third.hello("third")
-                assert server._clients[third_id].owners == [1]
-                assert pending_pairs(server) == [1, 1]
+                assert server._clients[third_id].owner == 1
+                assert pending_clients(server) == [1, 1]
                 result = third.submit_log(log_a, segment_events=8)
             first.submit_log(log_a, segment_events=8)
             first.close()
-            assert pending_pairs(server) == [0, 0]
+            assert pending_clients(server) == [0, 0]
         assert result.races == offline_reference(log_a).num_static
 
-    @pytest.mark.parametrize("shards", [None, 2])
-    def test_pending_pairs_return_to_zero(self, fleet_logs, monkeypatch,
-                                          shards):
+    def test_pending_clients_return_to_zero(self, fleet_logs, monkeypatch):
         """After a completed client, a client torn mid-stream, and a
-        client whose END timed out, no worker counts a pending pair."""
+        client whose END timed out, no worker counts a pending client."""
         log_a, _ = fleet_logs
         ordered = EventLog()
         ordered.events = merge_thread_logs(log_a).events
         frame = split_log(ordered, segment_events=64)[0]
         address = f"unix:{short_socket_path()}"
-        server = TelemetryServer([address], workers=2, shards=shards,
-                                 finalize_timeout=0.3)
+        server = TelemetryServer([address], workers=2, finalize_timeout=0.3)
         with server:
             with TelemetryClient(address) as client:
                 client.submit_log(log_a, segment_events=8)
-            assert pending_pairs(server) == [0, 0]
+            assert pending_clients(server) == [0, 0]
 
             torn = TelemetryClient(address).connect()
             torn.hello("torn")
             torn.send_segment(frame)
-            assert sum(pending_pairs(server)) == server.num_shards
+            assert sum(pending_clients(server)) == 1
             assert server.status()["clients_pending"] == 1
             torn.close()
             wait_for(lambda: server.status()["clients_aborted"] == 1,
                      "the torn client to be aborted")
-            assert pending_pairs(server) == [0, 0]
+            assert pending_clients(server) == [0, 0]
             assert server.status()["clients_pending"] == 0
 
             # Swallow the finalize so END times out.
@@ -302,7 +290,7 @@ class TestRouting:
                 stuck.send_segment(frame)
                 with pytest.raises(ProtocolError, match="timed out"):
                     stuck.end_log(1)
-            assert pending_pairs(server) == [0, 0]
+            assert pending_clients(server) == [0, 0]
             status = server.status()
         assert status["clients_aborted"] == 2
         assert status["clients_pending"] == 0
@@ -312,7 +300,7 @@ class TestRouting:
                                                       monkeypatch):
         """A client that says HELLO after the last worker died, before the
         supervisor noticed, is owned by the dead worker until the
-        supervisor moves its pair to the replacement."""
+        supervisor moves it to the replacement."""
         log_a, _ = fleet_logs
         address = f"unix:{short_socket_path()}"
         server = TelemetryServer([address], workers=1)
@@ -331,8 +319,8 @@ class TestRouting:
             assert not dead.alive
             client = TelemetryClient(address).connect()
             client_id = client.hello("orphan")
-            assert server._clients[client_id].owners == [0]
-            assert dead.pending == {(client_id, 0)}
+            assert server._clients[client_id].owner == 0
+            assert dead.pending == {client_id}
             noticed.set()
             result = client.submit_log(log_a, segment_events=8)
             status = client.status()
@@ -346,8 +334,8 @@ class TestRouting:
             self, fleet_logs):
         """More workers than cores, a short switch interval, clients
         racing on every connection and a worker killed mid-run: a lost
-        update to the pending pairs or the in-flight segments would leave
-        a pair counted, lag behind, or a client unfinished."""
+        update to the pending clients or the in-flight segments would
+        leave a client counted, lag behind, or a client unfinished."""
         log_a, log_b = fleet_logs
         logs = [log_a, log_b] * 4
         address = f"unix:{short_socket_path()}"
@@ -384,7 +372,7 @@ class TestRouting:
                 with TelemetryClient(address) as client:
                     body = client.report()
                     status = client.status()
-                pending = pending_pairs(server)
+                pending = pending_clients(server)
                 with server._mu:
                     clients = dict(server._clients)
         finally:
@@ -406,7 +394,7 @@ class TestRobustness:
     def test_backpressure_queue_stays_bounded(self, fleet_logs):
         _, log_b = fleet_logs
         address = f"unix:{short_socket_path()}"
-        with TelemetryServer([address], workers=1, shards=2,
+        with TelemetryServer([address], workers=1,
                              queue_depth=1) as server:
             with TelemetryClient(address) as client:
                 result = client.submit_log(log_b, segment_events=8)
@@ -465,51 +453,47 @@ class TestRobustness:
             TelemetryServer(["unix:unused"], queue_depth=depth)
 
     def test_worker_crash_mid_stream_replays_journal(self, fleet_logs):
-        """Killing the worker that owns the client mid-stream moves its
-        pairs to the survivor, which replays the journal.  With one shard
-        (the default) the whole REPORT body is still the offline one."""
+        """Killing the worker that owns the client mid-stream moves the
+        client to the survivor, which replays the journal, and the whole
+        REPORT body is still the offline one."""
         _, log_b = fleet_logs
         reference = offline_reference(log_b)
         ordered = EventLog()
         ordered.events = merge_thread_logs(log_b).events
         frames = split_log(ordered, segment_events=32)
         half = len(frames) // 2
-        for shards in (1, 4):
-            address = f"unix:{short_socket_path()}"
-            with TelemetryServer([address], workers=2, shards=shards,
-                                 queue_depth=8) as server:
-                client = TelemetryClient(address).connect()
-                client_id = client.hello("crashy")
-                state = server._clients[client_id]
-                # Kill the worker that owns shard 0: killing a worker that
-                # owns none of the client's shards would replay nothing.
-                victim = state.owners[0]
-                for frame in frames[:half]:
-                    client.send_segment(frame)
-                deadline = time.monotonic() + 10
-                while time.monotonic() < deadline:
-                    status = client.status()
-                    if all(lag == 0 for lag in status["shard_lag"].values()):
-                        break
-                    time.sleep(0.05)
-                server._workers[victim].process.terminate()
-                deadline = time.monotonic() + 10
-                while time.monotonic() < deadline:
-                    if client.status()["worker_failures"]:
-                        break
-                    time.sleep(0.05)
-                for frame in frames[half:]:
-                    client.send_segment(frame)
-                ack = client.end_log(len(frames))
-                body = client.report()
+        address = f"unix:{short_socket_path()}"
+        with TelemetryServer([address], workers=2,
+                             queue_depth=8) as server:
+            client = TelemetryClient(address).connect()
+            client_id = client.hello("crashy")
+            state = server._clients[client_id]
+            victim = state.owner
+            for frame in frames[:half]:
+                client.send_segment(frame)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
                 status = client.status()
-                client.close()
-            assert status["worker_failures"] == 1
-            assert victim not in state.owners
-            assert ack["races"] == reference.num_static
-            assert wire_occurrences(body) == reference.occurrences
-            if shards == 1:
-                assert body["report"] == offline_wire(log_b)
+                if all(lag == 0 for lag in status["shard_lag"].values()):
+                    break
+                time.sleep(0.05)
+            server._workers[victim].process.terminate()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                if client.status()["worker_failures"]:
+                    break
+                time.sleep(0.05)
+            for frame in frames[half:]:
+                client.send_segment(frame)
+            ack = client.end_log(len(frames))
+            body = client.report()
+            status = client.status()
+            client.close()
+        assert status["worker_failures"] == 1
+        assert victim != state.owner
+        assert ack["races"] == reference.num_static
+        assert wire_occurrences(body) == reference.occurrences
+        assert body["report"] == offline_wire(log_b)
 
     def test_worker_killed_mid_write_silences_no_other_worker(
             self, fleet_logs):
@@ -538,7 +522,7 @@ class TestRobustness:
             os.kill(victim.process.pid, signal.SIGSTOP)
             for _ in range(segments):
                 flood.send_segment(frame)
-            wait_for(lambda: len(victim.in_flight) == segments,
+            wait_for(lambda: victim.in_flight == segments,
                      "every segment to be routed to the stopped worker")
 
             levels = []
@@ -573,12 +557,11 @@ class TestRobustness:
         assert status["clients_aborted"] == 0
         assert body["report"] == offline_wire(log_b)
 
-    @pytest.mark.parametrize("shards", [None, 2])
     def test_shard_lag_recovers_after_worker_dies_with_backlog(
-            self, fleet_logs, shards):
+            self, fleet_logs):
         """A worker killed while holding un-acked segments must not leave
         them in ``shard_lag``: its backlog is written off at death and
-        replayed, and counted, on the worker that takes its pairs.  The
+        replayed, and counted, on the worker that takes its clients.  The
         backlog fills the stopped worker's cap and no more, since the
         next segment would wait for room."""
         _, log_b = fleet_logs
@@ -589,19 +572,18 @@ class TestRobustness:
         assert len(frames) == 20
         backlog = 8
         address = f"unix:{short_socket_path()}"
-        with TelemetryServer([address], workers=2, shards=shards,
+        with TelemetryServer([address], workers=2,
                              queue_depth=backlog) as server:
             client = TelemetryClient(address).connect()
             client_id = client.hello("stalled")
-            victim = server._workers[server._clients[client_id].owners[0]]
-            pid = victim.process.pid
+            owner = server._clients[client_id].owner
+            pid = server._workers[owner].process.pid
             os.kill(pid, signal.SIGSTOP)
             try:
                 for frame in frames[:backlog]:
                     client.send_segment(frame)
-                wait_for(
-                    lambda: client.status()["shard_lag"]["0"] == backlog,
-                    "the stopped worker's backlog")
+                wait_for(lambda: client.status()["shard_lag"][str(owner)]
+                         == backlog, "the stopped worker's backlog")
             finally:
                 os.kill(pid, signal.SIGKILL)
             wait_for(lambda: client.status()["worker_failures"] == 1,
@@ -618,8 +600,7 @@ class TestRobustness:
                 time.sleep(0.05)
             client.close()
         assert status["clients_pending"] == 0
-        assert status["shard_lag"] == {str(s): 0
-                                       for s in range(server.num_shards)}
+        assert status["shard_lag"] == {"0": 0, "1": 0}
         assert ack["races"] == reference.num_static
 
     def test_process_exits_after_a_worker_dies_with_a_full_queue(self):
@@ -685,7 +666,7 @@ class TestRobustness:
     def test_last_worker_death_spawns_replacement(self, fleet_logs):
         log_a, _ = fleet_logs
         address = f"unix:{short_socket_path()}"
-        with TelemetryServer([address], workers=1, shards=2) as server:
+        with TelemetryServer([address], workers=1) as server:
             client = TelemetryClient(address).connect()
             client.hello("survivor")
             server._workers[0].process.terminate()
@@ -703,8 +684,8 @@ class TestRobustness:
 
     def test_connection_ends_after_the_last_worker_is_replaced(self):
         """The replacement for the last worker is forked from the daemon
-        while a connection is open, so it holds a copy of that socket; the
-        server must still end the connection when it drops the client."""
+        while a connection is open; the server must still end the
+        connection when it drops the client."""
         address = f"unix:{short_socket_path()}"
         with TelemetryServer([address], workers=1) as server:
             raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -733,6 +714,55 @@ class TestRobustness:
         assert data == b"", f"no EOF after {waited:.1f} s"
         assert status["protocol_errors"] == 1
         assert status["workers_alive"] == 1
+
+    def test_replacement_worker_holds_no_daemon_socket(self, fleet_logs):
+        """A replacement worker is forked from the running daemon, so it
+        starts with a copy of the listener and of every open connection;
+        it must close them, or a client's connection outlives the
+        daemon's end of it."""
+        log_a, _ = fleet_logs
+        address = f"unix:{short_socket_path()}"
+
+        def socket_inodes(pid) -> set:
+            inodes = set()
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                try:
+                    target = os.readlink(f"/proc/{pid}/fd/{fd}")
+                except OSError:
+                    continue  # closed while listing
+                if target.startswith("socket:["):
+                    inodes.add(int(target[len("socket:["):-1]))
+            return inodes
+
+        with TelemetryServer([address], workers=1) as server:
+            raws = []
+            try:
+                for _ in range(5):
+                    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                    raws.append(raw)
+                    raw.settimeout(5.0)
+                    raw.connect(parse_address(address)[1])
+                    # A STATUS round trip: the connection is accepted.
+                    send_frame(raw, T_STATUS, b"")
+                    assert recv_frame(raw)[0] == T_OK
+                server._workers[0].process.kill()
+                wait_for(lambda: server.status()["worker_failures"] == 1,
+                         "the replacement worker")
+                with server._mu:
+                    daemon = {os.fstat(s.fileno()).st_ino
+                              for s in server._listeners
+                              + list(server._connections)}
+                # A log analyzed on the replacement: it has passed its
+                # start-up, where it closes what it inherited.
+                with TelemetryClient(address) as client:
+                    result = client.submit_log(log_a, segment_events=64)
+                held = socket_inodes(server._workers[0].process.pid)
+            finally:
+                for raw in raws:
+                    raw.close()
+        assert result.races == offline_reference(log_a).num_static
+        assert len(daemon) == 6  # the listener and the five connections
+        assert held & daemon == set()
 
     def test_torn_connection_never_corrupts_server_state(self, fleet_logs):
         log_a, _ = fleet_logs
@@ -838,7 +868,6 @@ class TestRobustness:
             # skips completed clients — keeping them would grow server
             # memory with every log the daemon ever ingests.
             assert state.journal == []
-            assert state.shard_reports == {}
 
     def test_snapshot_failure_does_not_kill_collector(self, fleet_logs,
                                                       monkeypatch, tmp_path):
@@ -855,7 +884,7 @@ class TestRobustness:
             monkeypatch.setattr(server, "_write_snapshot", boom)
             # Both submissions complete: the worker's reader thread
             # survives the failed snapshot writes and keeps processing
-            # shard reports.
+            # reports.
             with TelemetryClient(address) as client:
                 first = client.submit_log(log_a, segment_events=16)
             with TelemetryClient(address) as client:
@@ -974,7 +1003,7 @@ class TestClientLifecycle:
     def test_finished_clients_leave_the_server(self, fleet_logs,
                                                monkeypatch):
         """After 50 completed clients, 3 torn mid-stream and 1 END time-out
-        nothing is pending, and every torn client's owners were told to
+        nothing is pending, and every torn client's owner was told to
         discard it."""
         log_a, _ = fleet_logs
         ordered = EventLog()
@@ -1001,13 +1030,12 @@ class TestClientLifecycle:
             for _ in range(3):
                 torn = TelemetryClient(address).connect()
                 client_id = torn.hello("torn")
-                owners[client_id] = list(server._clients[client_id].owners)
+                owners[client_id] = server._clients[client_id].owner
                 torn.send_segment(frame)
                 torn.close()
             wait_for(lambda: all((owner, client_id) in discards
-                                 for client_id, owned in owners.items()
-                                 for owner in owned),
-                     "a discard at each torn client's owners")
+                                 for client_id, owner in owners.items()),
+                     "a discard at each torn client's owner")
 
             # Swallow the finalize so END times out.
             monkeypatch.setattr(server, "_route_end", lambda client_id: None)
@@ -1019,7 +1047,7 @@ class TestClientLifecycle:
                 status = stuck.status()
             with server._mu:
                 clients = dict(server._clients)
-            pending = pending_pairs(server)
+            pending = pending_clients(server)
         assert clients == {}
         assert pending == [0, 0]
         assert status["clients_pending"] == 0
@@ -1073,7 +1101,7 @@ class TestClientLifecycle:
                 body = client.report()
             with server._mu:
                 clients = dict(server._clients)
-            pending = pending_pairs(server)
+            pending = pending_clients(server)
         assert (first_id, second_id) == (1, 2)
         assert result.client_id == second_id
         assert ack["races"] == offline_reference(log_a).num_static
@@ -1127,10 +1155,10 @@ class TestWorkerLoop:
         bad[16 + 13] = 0x7F  # the sync record's kind code
         inbox, outbox = queue.Queue(), queue.Queue()
         for seq, frame in enumerate((good[0], bytes(bad), good[1])):
-            inbox.put(("segment", 7, seq, (0,), frame))
-        inbox.put(("finalize", 7, (0,)))
+            inbox.put(("segment", 7, seq, frame))
+        inbox.put(("finalize", 7))
         inbox.put(("stop",))
-        worker_main(3, inbox, outbox, 1)
+        worker_main(3, inbox, outbox)
         messages = []
         while not outbox.empty():
             messages.append(outbox.get())
@@ -1142,10 +1170,10 @@ class TestWorkerLoop:
             offline.feed_batch(cols)
             counts.append(cols.count)
         assert messages == [
-            ("ack", 3, 7, 0, (0,), counts[0]),
+            ("ack", 3, 7, 0, counts[0]),
             ("error", 3, 7, 1, "bad segment: bad sync kind code 127"),
-            ("ack", 3, 7, 2, (0,), counts[1]),
-            ("report", 3, 7, 0, report_to_wire(offline.report), 2),
+            ("ack", 3, 7, 2, counts[1]),
+            ("report", 3, 7, report_to_wire(offline.report), 2),
         ]
 
     def test_end_of_input_stops_the_worker(self, fleet_logs):
@@ -1156,10 +1184,10 @@ class TestWorkerLoop:
         ordered.events = merge_thread_logs(log_a).events
         frame = split_log(ordered, segment_events=64)[0]
         inbox, sender = multiprocessing.Pipe(duplex=False)
-        sender.send(("segment", 7, 0, (0,), frame))
+        sender.send(("segment", 7, 0, frame))
         sender.close()
         outbox = queue.Queue()
-        worker_main(3, _PipeEnd(inbox), outbox, 1)
+        worker_main(3, _PipeEnd(inbox), outbox)
         inbox.close()
         assert outbox.get_nowait()[:4] == ("ack", 3, 7, 0)
         assert outbox.empty()
@@ -1208,7 +1236,7 @@ class TestStateAndSink:
     def test_live_sink_matches_offline_analysis_of_same_run(self):
         program = random_program(11)
         address = f"unix:{short_socket_path()}"
-        with TelemetryServer([address], workers=2, shards=3) as server:
+        with TelemetryServer([address], workers=2) as server:
             client = TelemetryClient(address)
             sink = TelemetrySink(client, name="live", segment_events=64)
             tool = LiteRace(sampler="Full", seed=4)

@@ -52,7 +52,7 @@ def test_serve_submit_status_cli_smoke(tmp_path):
 
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--unix", sock,
-         "--workers", "2", "--shards", "3",
+         "--workers", "2",
          "--workload", "synthetic", "--scale", "0.05"],
         cwd=REPO_ROOT, env=_env(),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
