@@ -18,6 +18,7 @@ Telemetry service (fleet-style central triage)::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import workloads
@@ -638,7 +639,11 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process: building it
+    costs far more than parsing one command line, which callers running
+    many commands in one process would pay on every call."""
     parser = argparse.ArgumentParser(
         prog="repro", description="LiteRace (PLDI 2009) reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -834,7 +839,11 @@ def main(argv=None) -> int:
     status_p.add_argument("--shutdown", action="store_true",
                           help="ask the server to shut down afterwards")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handler = {"list": _cmd_list, "run": _cmd_run,
                "analyze": _cmd_analyze, "compare": _cmd_compare,
                "staticpass": _cmd_staticpass, "serve": _cmd_serve,

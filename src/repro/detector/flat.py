@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from ..eventlog.encode import _KIND_CODES
+from ..eventlog.block import _KIND_CODES
 from ..eventlog.events import (
     ACQUIRE_KINDS,
     RELEASE_KINDS,

@@ -25,9 +25,10 @@ per-thread *sync summary* — where each sync event sits in its thread's
 stream, its SyncVar and its timestamp — and answers with stream slices, so
 its cost follows the sync events while memory events move as list slices.
 Two thin adapters feed it: :func:`merge_thread_logs` for in-memory event
-objects, and :func:`merge_thread_columns` for a v1 log decoded straight to
-columns by :func:`repro.eventlog.encode.decode_log_columns` (the path
-behind ``repro analyze``).  Both produce the same order.
+objects, and :func:`merge_thread_columns` for a per-thread log file
+decoded straight to columns by
+:func:`repro.eventlog.encode.decode_log_columns` (the path behind
+``repro analyze``).  Both produce the same order.
 """
 
 from __future__ import annotations
@@ -178,13 +179,12 @@ def merge_thread_columns(cols: SegmentColumns,
                          ) -> Tuple[SegmentColumns, int]:
     """The columnar :func:`merge_thread_logs`: no event objects.
 
-    ``cols`` holds list-backed columns decoded from the wire (integer
-    SyncVar domain codes) and ``sections`` the ``(tid, start, stop)``
-    column range of each thread's stream in program order, sorted by tid:
-    exactly what :func:`repro.eventlog.encode.decode_log_columns`
-    returns.  Returns the events as columns in the reconstructed
-    processing order, plus the number of sync events forced out of
-    timestamp order.
+    ``cols`` holds columns decoded from the wire (integer SyncVar domain
+    codes) and ``sections`` the ``(tid, start, stop)`` column range of
+    each thread's stream in program order, sorted by tid: exactly what
+    :func:`repro.eventlog.encode.decode_log_columns` returns.  Returns
+    the events as columns in the reconstructed processing order, plus the
+    number of sync events forced out of timestamp order.
     """
     ops = cols.ops
     tids = cols.tids

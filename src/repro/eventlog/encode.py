@@ -5,45 +5,51 @@ reports MB/s for LiteRace vs full logging), so the encoding is real: events
 serialize to bytes with the layout below, and sizes are measured on the
 wire, not estimated.
 
-Wire format (little-endian):
+File format (little-endian):
 
-* File header: magic ``b"LTRC"`` + version u16 + thread-section count u16.
-* Per-thread section: tid u32 + event count u32, then that thread's events
-  in program order (tids are therefore *not* repeated per event, matching
-  the paper's per-thread log buffers).
-* Memory event: kind byte (0 = read, 1 = write) + addr u32 + pc u32
-  — 9 bytes, the "addresses and program counter values" of §3.3.
-* Sync event: kind byte (2 + SyncKind index) + var-domain byte + var-id u32
-  + timestamp u32 + pc u32 — 14 bytes, the "memory addresses of the
-  synchronization variables along with their timestamps".
+* File header: magic ``b"LTRC"`` + version u16 + section count u16.
+* **Version 3**, the per-thread log and the default: one section per
+  thread, tid u32 + event count u32, then that thread's events in program
+  order as one column block (:mod:`repro.eventlog.block`).  Tids are
+  therefore *not* repeated per event, matching the paper's per-thread log
+  buffers: a memory event costs 9 bytes (kind, address, pc — the
+  "addresses and program counter values" of §3.3) and a sync event 14
+  (plus SyncVar domain and timestamp, the "memory addresses of the
+  synchronization variables along with their timestamps").
+* **Version 2**, the segmented log: the count field holds the number of
+  segment frames (:mod:`repro.eventlog.segment`) that follow.  Segments
+  carry the event stream in processing order, with tids, optionally
+  zlib-compressed.
 
-That layout is **version 1**.  **Version 2** (the telemetry-service format,
-:mod:`repro.eventlog.segment`) replaces the per-thread sections with framed
-*segments* carrying the event stream in processing order, with optional
-zlib compression; the file header is unchanged except that the count field
-holds the number of segments.  :func:`decode_log` reads both versions;
-:func:`encode_log` writes v1 by default and v2 on request.
+:func:`encode_log` writes version 3 by default and version 2 on request;
+:func:`decode_log` reads both.  Any other version, including the row
+layout of version 1, is refused.
 
-A v1 file has one parser, :func:`decode_log_columns`: it reads the thread
-sections straight into :class:`~repro.eventlog.segment.SegmentColumns` plus
-each section's ``(tid, start, stop)`` column range, with no event objects.
-``repro analyze`` hands those to the columnar timestamp merge
+A per-thread file has one parser, :func:`decode_log_columns`: it reads
+each section's block straight into
+:class:`~repro.eventlog.segment.SegmentColumns` plus the section's
+``(tid, start, stop)`` column range, with no event objects.  ``repro
+analyze`` hands those to the columnar timestamp merge
 (:func:`repro.detector.merge.merge_thread_columns`), and :func:`decode_log`
-materializes events from them, as ``decode_segment`` does on top of the v2
-column decoder.  Corrupt input raises ``ValueError`` naming the damage, in
-either version.
+materializes events from them, as ``decode_segment`` does on top of the
+segment column decoder.  Corrupt input raises ``ValueError`` naming the
+damage, in either version.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import List, Tuple
 
-from .events import MemoryEvent, SyncKind
+from .block import (
+    MEMORY_EVENT_BYTES,
+    SYNC_EVENT_BYTES,
+    BlockTruncated,
+    decode_block,
+    encode_block,
+)
 from .log import EventLog
-
-if TYPE_CHECKING:  # pragma: no cover - segment imports this module
-    from .segment import SegmentColumns
+from .segment import SegmentColumns, decode_segment, split_log
 
 __all__ = [
     "encode_log",
@@ -56,45 +62,24 @@ __all__ = [
 ]
 
 _MAGIC = b"LTRC"
-_VERSION = 1
+_VERSION_THREADS = 3
 _VERSION_SEGMENTED = 2
-
-MEMORY_EVENT_BYTES = 9
-SYNC_EVENT_BYTES = 14
 
 _HEADER = struct.Struct("<4sHH")
 _SECTION = struct.Struct("<II")
-_MEMORY = struct.Struct("<BII")
-_SYNC = struct.Struct("<BBIII")
-
-_KIND_CODES: Dict[SyncKind, int] = {kind: 2 + i for i, kind in enumerate(SyncKind)}
-_CODE_KINDS: Dict[int, SyncKind] = {code: kind for kind, code in _KIND_CODES.items()}
-#: Highest valid sync kind code on the wire (codes are 2 + SyncKind index).
-_MAX_KIND_CODE = max(_CODE_KINDS)
-
-_DOMAIN_CODES = {"mutex": 0, "event": 1, "thread": 2, "atomic": 3, "page": 4}
-_CODE_DOMAINS = {code: name for name, code in _DOMAIN_CODES.items()}
-
-_PC_NONE = 0xFFFF_FFFF
 
 
-def _encode_pc(pc: int) -> int:
-    return _PC_NONE if pc < 0 else pc
-
-
-def encode_log(log: EventLog, *, version: int = 1,
+def encode_log(log: EventLog, *, version: int = _VERSION_THREADS,
                compress: bool = False,
                segment_events: int = 4096) -> bytes:
     """Serialize ``log`` to its on-disk representation.
 
-    ``version=1`` (the default) writes the per-thread-section layout;
-    ``compress`` is rejected there because v1 readers predate it.
-    ``version=2`` writes framed segments preserving the global stream
-    order, optionally zlib-compressed, ``segment_events`` per frame.
+    ``version=3`` (the default) writes one section per thread;
+    ``compress`` is rejected there.  ``version=2`` writes framed segments
+    preserving the global stream order, optionally zlib-compressed,
+    ``segment_events`` per frame.
     """
     if version == _VERSION_SEGMENTED:
-        from .segment import split_log
-
         frames = split_log(log, segment_events=segment_events,
                            compress=compress)
         if len(frames) > 0xFFFF:
@@ -103,39 +88,25 @@ def encode_log(log: EventLog, *, version: int = 1,
         parts = [_HEADER.pack(_MAGIC, _VERSION_SEGMENTED, len(frames))]
         parts.extend(frames)
         return b"".join(parts)
-    if version != _VERSION:
+    if version != _VERSION_THREADS:
         raise ValueError(f"unknown log version {version}")
     if compress:
         raise ValueError("compression requires version=2")
     streams = log.per_thread()
-    parts: List[bytes] = [_HEADER.pack(_MAGIC, _VERSION, len(streams))]
+    parts: List[bytes] = [_HEADER.pack(_MAGIC, _VERSION_THREADS,
+                                       len(streams))]
     for tid in sorted(streams):
         events = streams[tid]
         parts.append(_SECTION.pack(tid, len(events)))
-        for event in events:
-            if isinstance(event, MemoryEvent):
-                parts.append(
-                    _MEMORY.pack(int(event.is_write),
-                                 event.addr & 0xFFFF_FFFF,
-                                 _encode_pc(event.pc))
-                )
-            else:
-                domain, ident = event.var
-                parts.append(
-                    _SYNC.pack(_KIND_CODES[event.kind],
-                               _DOMAIN_CODES[domain],
-                               ident & 0xFFFF_FFFF,
-                               event.timestamp & 0xFFFF_FFFF,
-                               _encode_pc(event.pc))
-                )
+        parts.append(encode_block(events, with_tids=False))
     return b"".join(parts)
 
 
 def read_log_header(data: bytes):
     """Parse a log file header without touching the body.
 
-    Returns ``(version, section_count, body_offset)`` — for v2 logs
-    ``section_count`` is the number of segment frames starting at
+    Returns ``(version, section_count, body_offset)`` — for segmented
+    logs ``section_count`` is the number of segment frames starting at
     ``body_offset``, which lets columnar consumers walk the frames
     directly instead of materializing event objects via
     :func:`decode_log`.
@@ -150,7 +121,7 @@ def read_log_header(data: bytes):
 
 def decode_log_columns(data: bytes) -> Tuple[SegmentColumns,
                                              List[Tuple[int, int, int]]]:
-    """Parse a v1 log straight into columns, with no event objects.
+    """Parse a per-thread log straight into columns, with no event objects.
 
     Returns ``(cols, sections)``: ``cols`` is a
     :class:`~repro.eventlog.segment.SegmentColumns` holding every event of
@@ -161,30 +132,25 @@ def decode_log_columns(data: bytes) -> Tuple[SegmentColumns,
     which rebuilds a processing order from the sync timestamps.
 
     Corrupt input raises ``ValueError`` naming the problem: a truncated
-    header, section header or record, a bad sync kind or SyncVar domain
+    header, section header or block, a bad sync kind or SyncVar domain
     code, trailing bytes, or a second section for a tid already seen.
     Empty sections are accepted; they list no range and count as no
     thread.
     """
-    from .segment import SegmentColumns
-
     version, section_count, offset = read_log_header(data)
-    if version != _VERSION:
+    if version != _VERSION_THREADS:
         raise ValueError(f"unsupported log version {version}")
     cols = SegmentColumns()
-    ops = cols.ops
     tids = cols.tids
     addrs = cols.addrs
     pcs = cols.pcs
-    domains = cols.sync_domains
     timestamps = cols.sync_timestamps
-    memory_unpack = _MEMORY.unpack_from
-    sync_unpack = _SYNC.unpack_from
-    memory_size = _MEMORY.size
-    sync_size = _SYNC.size
+    kinds: List[bytes] = []
+    domains: List[bytes] = []
     end = len(data)
     sections: List[Tuple[int, int, int]] = []
     seen = set()
+    start = 0
     for _ in range(section_count):
         if end - offset < _SECTION.size:
             raise ValueError("truncated section header")
@@ -193,42 +159,28 @@ def decode_log_columns(data: bytes) -> Tuple[SegmentColumns,
         if tid in seen:
             raise ValueError(f"second section for thread {tid}")
         seen.add(tid)
-        start = len(ops)
         try:
-            for _ in range(count):
-                # Most records are memory events: read one as such and
-                # re-read it as a sync record only if its kind says so.
-                kind_code, addr, pc = memory_unpack(data, offset)
-                if kind_code < 2:
-                    offset += memory_size
-                    ops.append(kind_code)
-                    addrs.append(addr)
-                    pcs.append(pc)
-                else:
-                    _, domain_code, ident, ts, pc = sync_unpack(data, offset)
-                    offset += sync_size
-                    if kind_code > _MAX_KIND_CODE:
-                        raise ValueError(f"bad sync kind code {kind_code}")
-                    if domain_code not in _CODE_DOMAINS:
-                        raise ValueError(
-                            f"bad sync-var domain code {domain_code}")
-                    ops.append(kind_code)
-                    addrs.append(ident)
-                    pcs.append(pc)
-                    domains.append(domain_code)
-                    timestamps.append(ts)
-        except struct.error:
+            (section_kinds, _, section_addrs, section_pcs, section_domains,
+             section_timestamps), offset = decode_block(
+                data, offset, count, end, with_tids=False)
+        except BlockTruncated:
             raise ValueError(f"truncated record in the section of thread "
                              f"{tid}") from None
         if count:
+            kinds.append(section_kinds)
             tids += [tid] * count
+            addrs += section_addrs
+            pcs += section_pcs
+            domains.append(section_domains)
+            timestamps += section_timestamps
             sections.append((tid, start, start + count))
+            start += count
     if offset != end:
         raise ValueError("trailing bytes after last section")
-    if _PC_NONE in pcs:
-        cols.pcs = [-1 if pc == _PC_NONE else pc for pc in pcs]
-    cols.count = len(ops)
-    cols.sync_count = len(timestamps)
+    cols.ops = b"".join(kinds)
+    cols.sync_domains = b"".join(domains)
+    cols.count = start
+    cols.sync_count = len(cols.sync_domains)
     cols.memory_count = cols.count - cols.sync_count
     sections.sort()
     return cols, sections
@@ -237,19 +189,17 @@ def decode_log_columns(data: bytes) -> Tuple[SegmentColumns,
 def decode_log(data: bytes) -> EventLog:
     """Parse bytes produced by :func:`encode_log` back into an event log.
 
-    Both versions are read.  For v1, per-thread program order is preserved
-    but the interleaving *between* threads is not on the wire (it never is,
-    for a real tool) — the offline detector reconstructs it from
-    timestamps; the log holds the threads one after another in tid order.
-    Implemented on :func:`decode_log_columns`, so v1 has one parser.  For
-    v2 the segment stream order *is* the interleaving the producer saw, and
-    it survives the round trip.
+    Both versions are read.  For a per-thread log, program order is
+    preserved but the interleaving *between* threads is not on the wire
+    (it never is, for a real tool) — the offline detector reconstructs it
+    from timestamps; the log holds the threads one after another in tid
+    order.  Implemented on :func:`decode_log_columns`, so that format has
+    one parser.  For a segmented log the segment stream order *is* the
+    interleaving the producer saw, and it survives the round trip.
     """
     version, section_count, offset = read_log_header(data)
     log = EventLog()
     if version == _VERSION_SEGMENTED:
-        from .segment import decode_segment
-
         for _ in range(section_count):
             events, offset = decode_segment(data, offset)
             log.extend(events)

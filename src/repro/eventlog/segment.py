@@ -1,35 +1,34 @@
-"""Framed log *segments*: the version-2 wire format (telemetry service).
+"""Framed log *segments*: the streaming unit of the telemetry service.
 
-The version-1 format of :mod:`repro.eventlog.encode` serializes a finished
-log as per-thread sections — the right shape for a file written once at the
-end of a run, but useless for *streaming*: a client shipping events off the
-machine while the run is live cannot know section sizes up front, and the
-telemetry server wants to analyze events incrementally, not after the run.
+A per-thread log file (:mod:`repro.eventlog.encode`) is the right shape for
+a log written once at the end of a run, but useless for *streaming*: a
+client shipping events off the machine while the run is live cannot know
+section sizes up front, and the telemetry server wants to analyze events
+incrementally, not after the run.
 
 A **segment** is the streaming unit: a self-delimiting frame holding a slice
 of the event stream *in processing order* (each event carries its tid
-explicitly, so the interleaving survives the wire — unlike v1, which only
-preserves per-thread program order).  Producers guarantee that the
-concatenation of a client's segments is a valid happens-before processing
-order: either the true temporal order of a live run
+explicitly, so the interleaving survives the wire — unlike a per-thread
+file, which only preserves per-thread program order).  Producers guarantee
+that the concatenation of a client's segments is a valid happens-before
+processing order: either the true temporal order of a live run
 (:class:`repro.service.client.TelemetrySink`) or the timestamp-merged order
 of a saved log (:func:`repro.detector.merge.merge_thread_logs`).
 
 Segment frame layout (little-endian)::
 
-    magic b"LTRS" + version u16 (=2) + flags u16 + event-count u32
+    magic b"LTRS" + version u16 (=3) + flags u16 + event-count u32
     + payload-length u32 + payload
 
 where flags bit 0 selects zlib compression of the payload, and the payload
-packs events back to back:
+is one column block (:mod:`repro.eventlog.block`) with a tid column: a
+memory event costs 13 bytes and a sync event 18.  A frame of any other
+version is refused.
 
-* memory event: kind u8 (0 = read, 1 = write) + tid u32 + addr u32 + pc u32
-* sync event:   kind u8 (2 + SyncKind index) + var-domain u8 + tid u32
-  + var-id u32 + timestamp u32 + pc u32
-
-A version-2 *file* is the v1 file header (magic ``b"LTRC"``, version 2,
-segment count in place of the section count) followed by that many segment
-frames; :func:`repro.eventlog.encode.decode_log` reads both versions.
+A segmented *file* (file version 2) is the log file header (magic
+``b"LTRC"``, version 2, segment count in place of the section count)
+followed by that many segment frames; :func:`repro.eventlog.encode.decode_log`
+reads it.
 """
 
 from __future__ import annotations
@@ -38,16 +37,16 @@ import struct
 import zlib
 from typing import List, Sequence, Tuple
 
-from .events import Event, MemoryEvent, SyncEvent
-from .encode import (
+from .block import (
     _CODE_DOMAINS,
     _CODE_KINDS,
     _DOMAIN_CODES,
     _KIND_CODES,
-    _MAX_KIND_CODE,
-    _PC_NONE,
-    _encode_pc,
+    BlockTruncated,
+    decode_block,
+    encode_block,
 )
+from .events import Event, MemoryEvent, SyncEvent
 from .log import EventLog
 
 __all__ = [
@@ -65,38 +64,17 @@ __all__ = [
 ]
 
 SEGMENT_MAGIC = b"LTRS"
-SEGMENT_VERSION = 2
+SEGMENT_VERSION = 3
 
 #: Flags bit 0: payload is zlib-compressed.
 FLAG_ZLIB = 0x0001
 
 _SEG_HEADER = struct.Struct("<4sHHII")
-_MEMORY2 = struct.Struct("<BIII")
-_SYNC2 = struct.Struct("<BBIIII")
-
-
-def _pack_events(events: Sequence[Event]) -> bytes:
-    parts: List[bytes] = []
-    for event in events:
-        if isinstance(event, MemoryEvent):
-            parts.append(_MEMORY2.pack(int(event.is_write),
-                                       event.tid & 0xFFFF_FFFF,
-                                       event.addr & 0xFFFF_FFFF,
-                                       _encode_pc(event.pc)))
-        else:
-            domain, ident = event.var
-            parts.append(_SYNC2.pack(_KIND_CODES[event.kind],
-                                     _DOMAIN_CODES[domain],
-                                     event.tid & 0xFFFF_FFFF,
-                                     ident & 0xFFFF_FFFF,
-                                     event.timestamp & 0xFFFF_FFFF,
-                                     _encode_pc(event.pc)))
-    return b"".join(parts)
 
 
 def encode_segment(events: Sequence[Event], *, compress: bool = False) -> bytes:
     """Serialize ``events`` (in processing order) to one segment frame."""
-    payload = _pack_events(events)
+    payload = encode_block(events, with_tids=True)
     flags = 0
     if compress:
         packed = zlib.compress(payload)
@@ -130,14 +108,18 @@ class SegmentColumns:
     consumes these directly; ``to_events()`` materializes the traditional
     object stream for the compatibility path and for tests.
 
-    Layout: ``ops``/``tids``/``addrs``/``pcs`` are parallel lists of length
-    ``count`` in stream order.  ``ops[i]`` is the wire kind code (0 = read,
-    1 = write, 2+ = sync kind); for memory events ``addrs[i]`` is the
-    accessed address, for sync events it is the SyncVar identifier.  The two
-    sync-only columns (``sync_domains``, ``sync_timestamps``) are packed
-    densely — the *j*-th sync event in the stream reads its domain code and
-    timestamp at index *j* — so the memory-event common case pays for four
-    list appends, not six.
+    Layout: ``ops``/``tids``/``addrs``/``pcs`` are parallel sequences of
+    length ``count`` in stream order.  ``ops[i]`` is the wire kind code
+    (0 = read, 1 = write, 2+ = sync kind); for memory events ``addrs[i]``
+    is the accessed address, for sync events it is the SyncVar identifier.
+    The two sync-only columns (``sync_domains``, ``sync_timestamps``) are
+    packed densely — the *j*-th sync event in the stream reads its domain
+    code and timestamp at index *j* — as in the column block on the wire.
+
+    Readers only index, slice and iterate the columns.  The decoders hand
+    them out as they unpack a block: ``bytes`` for the two code columns
+    and tuples (or lists) for the others; :func:`columns_from_events` and
+    the timestamp merge build lists.
     """
 
     __slots__ = ("count", "ops", "tids", "addrs", "pcs",
@@ -220,62 +202,33 @@ def decode_segment_columns(data: bytes,
                            offset: int = 0) -> Tuple[SegmentColumns, int]:
     """Parse one segment frame at ``offset`` into columns.
 
-    This is the hot decode path: one pass over the payload appending plain
-    ints into parallel lists, with no event-object or enum allocation.
-    Corrupt payloads raise (bad kind/domain codes, trailing bytes, short
-    records) — a poisoned segment must never silently mis-detect.
+    This is the hot decode path: one ``struct.unpack_from`` per column of
+    the payload's block, with no event-object or enum allocation and no
+    Python loop per event.  Corrupt payloads raise (bad kind/domain codes,
+    trailing bytes, a block cut short) — a poisoned segment must never
+    silently mis-detect.
     """
     count = segment_event_count(data, offset)
     _, _, flags, _, payload_len = _SEG_HEADER.unpack_from(data, offset)
     start = offset + _SEG_HEADER.size
-    payload = bytes(data[start:start + payload_len])
+    frame_end = start + payload_len
+    payload, at, limit = data, start, frame_end
     if flags & FLAG_ZLIB:
-        payload = zlib.decompress(payload)
-    cols = SegmentColumns()
-    ops = cols.ops
-    tids = cols.tids
-    addrs = cols.addrs
-    pcs = cols.pcs
-    domains = cols.sync_domains
-    timestamps = cols.sync_timestamps
-    memory_unpack = _MEMORY2.unpack_from
-    sync_unpack = _SYNC2.unpack_from
-    memory_size = _MEMORY2.size
-    sync_size = _SYNC2.size
-    payload_end = len(payload)
-    pos = 0
-    syncs = 0
-    for _ in range(count):
-        if pos >= payload_end:
-            raise ValueError("truncated event in segment payload")
-        kind_code = payload[pos]
-        if kind_code < 2:
-            flag, tid, addr, pc = memory_unpack(payload, pos)
-            pos += memory_size
-            ops.append(flag)
-            tids.append(tid)
-            addrs.append(addr)
-            pcs.append(-1 if pc == _PC_NONE else pc)
-        else:
-            code, domain_code, tid, ident, ts, pc = sync_unpack(payload, pos)
-            pos += sync_size
-            if code > _MAX_KIND_CODE:
-                raise ValueError(f"bad sync kind code {code}")
-            if domain_code not in _CODE_DOMAINS:
-                raise ValueError(f"bad sync-var domain code {domain_code}")
-            ops.append(code)
-            tids.append(tid)
-            addrs.append(ident)
-            pcs.append(-1 if pc == _PC_NONE else pc)
-            domains.append(domain_code)
-            timestamps.append(ts)
-            syncs += 1
-    if pos != payload_end:
+        payload = zlib.decompress(data[start:frame_end])
+        at, limit = 0, len(payload)
+    try:
+        block, end = decode_block(payload, at, count, limit, with_tids=True)
+    except BlockTruncated:
+        raise ValueError("truncated event in segment payload") from None
+    if end != limit:
         raise ValueError("trailing bytes in segment payload")
+    cols = SegmentColumns()
+    (cols.ops, cols.tids, cols.addrs, cols.pcs, cols.sync_domains,
+     cols.sync_timestamps) = block
     cols.count = count
-    cols.sync_count = syncs
-    cols.memory_count = count - syncs
-    return cols, start + payload_len
+    cols.sync_count = len(cols.sync_domains)
+    cols.memory_count = count - cols.sync_count
+    return cols, frame_end
 
 
 def decode_segment(data: bytes, offset: int = 0) -> Tuple[List[Event], int]:
@@ -295,12 +248,12 @@ class SegmentBatcher:
 
     Both streaming readers go through this: a detector worker feeding each
     SEGMENT frame as it arrives (:class:`repro.service.shard.ShardDetector`)
-    and ``repro analyze`` walking a v2 log.  ``push`` decodes one frame
-    with :func:`decode_segment_columns` and hands its columns to the sink
-    before returning, so when ``push`` returns the frame has been analyzed,
-    and a decode error is raised by the push of the frame that caused it,
-    before the sink sees any of that frame.  Nothing is ever held back, so
-    ``flush`` has nothing to drain.
+    and ``repro analyze`` walking a segmented log.  ``push`` decodes one
+    frame with :func:`decode_segment_columns` and hands its columns to the
+    sink before returning, so when ``push`` returns the frame has been
+    analyzed, and a decode error is raised by the push of the frame that
+    caused it, before the sink sees any of that frame.  Nothing is ever
+    held back, so ``flush`` has nothing to drain.
     """
 
     def __init__(self, sink):

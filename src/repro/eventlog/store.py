@@ -21,15 +21,16 @@ __all__ = ["save_log", "load_log"]
 PathLike = Union[str, "os.PathLike[str]"]
 
 
-def save_log(log: EventLog, path: PathLike, *, version: int = 1,
+def save_log(log: EventLog, path: PathLike, *, version: int = 3,
              compress: bool = False) -> int:
     """Write ``log`` to ``path``; return the number of bytes written.
 
     The write is atomic (temp file + rename) so a crashed analysis never
     sees a torn log, and a failure anywhere — encoding, the write itself,
     or the rename — removes the temp file instead of leaving a stray
-    ``.tmp`` behind.  ``version=2`` selects the segmented wire format,
-    which also unlocks ``compress``.
+    ``.tmp`` behind.  ``version=3`` (the default) writes per-thread
+    sections; ``version=2`` selects the segmented wire format, which also
+    unlocks ``compress``.
     """
     tmp_path = f"{os.fspath(path)}.tmp"
     try:

@@ -33,7 +33,6 @@ class ShardDetector:
     def __init__(self):
         self._detector = FlatDetector("hb")
         self._reader = SegmentBatcher(self._detector.feed_batch)
-        self.segments = 0
 
     def feed_frame(self, data: bytes, offset: int = 0) -> int:
         """Decode one *encoded* segment frame and detect it (the worker
@@ -45,7 +44,6 @@ class ShardDetector:
         the frame's event count.
         """
         count, _ = self._reader.push(data, offset)
-        self.segments += 1
         return count
 
     @property
@@ -70,7 +68,7 @@ def worker_main(worker_id: int, in_queue, out_queue,
     Messages out::
 
         ("ack", worker_id, client_id, seq, event_count)
-        ("report", worker_id, client_id, wire_report, segments)
+        ("report", worker_id, client_id, wire_report)
         ("error", worker_id, client_id, seq, message)
 
     Each segment is decoded and detected before it is answered, so an ack
@@ -119,7 +117,6 @@ def worker_main(worker_id: int, in_queue, out_queue,
                 # is empty, and it still completes.
                 detector = ShardDetector()
             out_queue.put(("report", worker_id, client_id,
-                           report_to_wire(detector.report),
-                           detector.segments))
+                           report_to_wire(detector.report)))
         elif verb == "discard":
             detectors.pop(message[1], None)

@@ -1,8 +1,33 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
+from repro import __main__ as cli
 from repro.__main__ import main
+
+
+class TestParser:
+    def test_one_parser_serves_every_call_and_keeps_no_values(
+            self, monkeypatch):
+        calls = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(parser, *args, **kwargs):
+            namespace = parse_args(parser, *args, **kwargs)
+            calls.append((parser, namespace))
+            return namespace
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        monkeypatch.setattr(cli, "_cmd_scenario", lambda args: 0)
+        assert main(["scenario", "kv-store", "--set", "pools.a=1",
+                     "--set", "pools.b=2"]) == 0
+        assert main(["scenario", "kv-store"]) == 0
+        (first_parser, first), (second_parser, second) = calls
+        assert first_parser is second_parser
+        assert first.set == ["pools.a=1", "pools.b=2"]
+        assert second.set is None
 
 
 class TestList:

@@ -1,11 +1,12 @@
 """Tests for the in-memory event log and its wire encoding."""
 
+import struct
+
 import pytest
 
 from repro.__main__ import main
 from repro.eventlog.encode import (
     _HEADER,
-    _MEMORY,
     _SECTION,
     MEMORY_EVENT_BYTES,
     SYNC_EVENT_BYTES,
@@ -16,6 +17,7 @@ from repro.eventlog.encode import (
 )
 from repro.eventlog.events import MemoryEvent, SyncEvent, SyncKind
 from repro.eventlog.log import EventLog
+from repro.eventlog.segment import decode_segment, encode_segment
 
 
 def sample_log():
@@ -140,17 +142,92 @@ class TestEncoding:
         assert [e.kind for e in decoded.events] == list(domains)
 
 
-def _raw_v1(*sections):
-    """A v1 file from ``(tid, [record bytes, ...])`` sections, as given."""
-    parts = [_HEADER.pack(b"LTRC", 1, len(sections))]
-    for tid, records in sections:
-        parts.append(_SECTION.pack(tid, len(records)))
-        parts.extend(records)
+def three_event_log():
+    """A memory event and a LOCK on thread 1, and thread 2's THREAD_START
+    between them, with no pc."""
+    log = EventLog()
+    log.append_memory(1, 0x1000, 5, True)
+    log.append_sync(2, SyncKind.THREAD_START, ("thread", 2), 3, -1)
+    log.append_sync(1, SyncKind.LOCK, ("mutex", 0x2000), 7, 6)
+    return log
+
+
+#: three_event_log as a per-thread file: one column block per thread.
+THREE_EVENT_FILE = bytes.fromhex(
+    "4c545243 0300 0200"                # LTRC, version 3, two sections
+    "01000000 02000000"                 # thread 1, two events
+    "01 02"                             #   kinds: write, LOCK
+    "00100000 00200000"                 #   addrs: 0x1000, mutex 0x2000
+    "05000000 06000000"                 #   pcs
+    "00"                                #   domains: mutex
+    "07000000"                          #   timestamps
+    "02000000 01000000"                 # thread 2, one event
+    "08"                                #   kinds: THREAD_START
+    "02000000"                          #   addrs: thread 2
+    "ffffffff"                          #   pcs: none
+    "02"                                #   domains: thread
+    "03000000")                         #   timestamps
+
+#: three_event_log as one segment frame: one block with a tid column.
+THREE_EVENT_FRAME = bytes.fromhex(
+    "4c545253 0300 0000"                # LTRS, version 3, no flags
+    "03000000 31000000"                 # three events, 49 payload bytes
+    "01 08 02"                          # kinds: write, THREAD_START, LOCK
+    "01000000 02000000 01000000"        # tids
+    "00100000 02000000 00200000"        # addrs
+    "05000000 ffffffff 06000000"        # pcs
+    "02 00"                             # domains: thread, mutex
+    "03000000 07000000")                # timestamps
+
+
+class TestColumnLayout:
+    """The column block pinned byte for byte in both formats, and the
+    versions before it refused."""
+
+    def test_three_event_log_in_both_formats(self):
+        log = three_event_log()
+        assert encode_log(log) == THREE_EVENT_FILE
+        assert encoded_size(log) == len(THREE_EVENT_FILE)
+        assert encode_segment(log.events) == THREE_EVENT_FRAME
+        assert decode_segment(THREE_EVENT_FRAME) == (
+            log.events, len(THREE_EVENT_FRAME))
+        assert decode_log(THREE_EVENT_FILE).events == sorted(
+            log.events, key=lambda event: event.tid)
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        # The row layout: thread 0's one memory event as kind, addr, pc.
+        data = (_HEADER.pack(b"LTRC", 1, 1) + _SECTION.pack(0, 1)
+                + struct.pack("<BII", 1, 0x1000, 5))
+        with pytest.raises(ValueError, match="unsupported log version 1"):
+            decode_log(data)
+        path = tmp_path / "v1.ltrc"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="unsupported log version 1"):
+            main(["analyze", str(path)])
+        with pytest.raises(ValueError, match="unknown log version 1"):
+            encode_log(three_event_log(), version=1)
+
+
+def _raw_file(*sections):
+    """A per-thread file from ``(tid, [(is_write, addr, pc), ...])``
+    sections of memory events, as given, each section's events written
+    as a column block by hand: the kind bytes, then the addr and pc
+    columns."""
+    parts = [_HEADER.pack(b"LTRC", 3, len(sections))]
+    for tid, events in sections:
+        parts.append(_SECTION.pack(tid, len(events)))
+        parts.append(bytes(int(is_write) for is_write, _, _ in events))
+        parts.extend(struct.pack("<I", addr) for _, addr, _ in events)
+        parts.extend(struct.pack("<I", pc) for _, _, pc in events)
     return b"".join(parts)
 
 
-#: Offset of sample_log's first record, thread 0's THREAD_START sync event.
+#: Offset of sample_log's first block, thread 0's: its kind column opens
+#: with the THREAD_START sync event.
 FIRST_RECORD = _HEADER.size + _SECTION.size
+#: That sync event's domain code: after the section's two kind bytes and
+#: its addr and pc columns of two u32s each.
+FIRST_DOMAIN = FIRST_RECORD + 2 + 2 * 4 + 2 * 4
 
 
 def _corrupt(case):
@@ -164,8 +241,11 @@ def _corrupt(case):
     if case == "truncated record":
         return bytes(data[:-1])
     if case in ("first section too long", "last section too long"):
-        # A section claims one more record than it holds: the first one
-        # then misreads its neighbour's header as a record.
+        # A section claims one more event than it holds, so its block
+        # runs on into what follows: the last one past the end of the
+        # file, the first one into its neighbour, whose header is then
+        # read from inside a block and claims far more events than the
+        # file holds.
         at = _HEADER.size
         if case == "last section too long":
             at += _SECTION.size + SYNC_EVENT_BYTES + MEMORY_EVENT_BYTES
@@ -176,13 +256,14 @@ def _corrupt(case):
         data[FIRST_RECORD] = 127
         return bytes(data)
     if case == "bad domain code":
-        data[FIRST_RECORD + 1] = 9
+        assert data[FIRST_DOMAIN] == 2  # the "thread" domain
+        data[FIRST_DOMAIN] = 9
         return bytes(data)
     if case == "trailing bytes":
         return bytes(data) + b"\x00"
     if case == "duplicate tid":
-        record = _MEMORY.pack(1, 0x1000, 5)
-        return _raw_v1((3, [record]), (3, [record]))
+        event = (True, 0x1000, 5)
+        return _raw_file((3, [event]), (3, [event]))
     raise AssertionError(case)
 
 
@@ -219,8 +300,8 @@ class TestCorruptV1:
 
     def test_empty_sections_are_accepted_and_are_not_threads(self, tmp_path,
                                                              capsys):
-        record = _MEMORY.pack(1, 0x1000, 5)
-        data = _raw_v1((0, [record]), (4, []), (9, [record, record]))
+        event = (True, 0x1000, 5)
+        data = _raw_file((0, [event]), (4, []), (9, [event, event]))
         log = decode_log(data)
         assert sorted(log.per_thread()) == [0, 9]
         cols, sections = decode_log_columns(data)
@@ -231,13 +312,13 @@ class TestCorruptV1:
         assert "3 memory events, 2 threads" in capsys.readouterr().out
 
     def test_sections_come_back_sorted_by_tid(self):
-        record = _MEMORY.pack(0, 0x2000, 7)
+        event = (False, 0x2000, 7)
         cols, sections = decode_log_columns(
-            _raw_v1((5, [record, record]), (2, [record])))
+            _raw_file((5, [event, event]), (2, [event])))
         assert sections == [(2, 2, 3), (5, 0, 2)]
         assert cols.tids == [5, 5, 2]
         assert [e.tid for e in decode_log(
-            _raw_v1((5, [record, record]), (2, [record]))).events] == [2, 5, 5]
+            _raw_file((5, [event, event]), (2, [event]))).events] == [2, 5, 5]
 
 
 class TestStore:

@@ -2,14 +2,18 @@
 
 ``tests/test_determinism.py`` compares two runs of the *same* code, so a
 refactor of the executor or a scheduler that changes which thread steps
-when would still pass it.  The digests below were computed before the
-executor stopped rescanning every thread per step, and are compared on
-every run: each covers one profiled execution end to end — the recorded
-scheduler decisions, the encoded log in both wire formats, every
-:class:`~repro.runtime.executor.RunResult` counter and the offline race
-report.  A mismatch means an interleaving (or what was logged or detected
-on it) changed; if that change is intended, say so and recompute the
-table with ``python tests/test_interleaving_golden.py``.
+when would still pass it.  The digests below are compared on every run:
+each covers one profiled execution end to end — the recorded scheduler
+decisions, every logged event with all its fields in the global order,
+every :class:`~repro.runtime.executor.RunResult` counter, the log size
+and the offline race report.  The events are hashed as rows, not as
+encoded bytes, so a new log format moves no digest.  ``GOLDEN`` was
+recomputed when it stopped hashing the encoded logs, on the tree before
+the logs became column blocks; ``MARKED_GOLDEN`` was computed before the
+executor stopped rescanning every thread per step.  A mismatch means an
+interleaving (or what was logged or detected on it) changed; if that
+change is intended, say so and recompute the table with
+``python tests/test_interleaving_golden.py``.
 
 ``ProfilingHarness`` never overrides ``Harness.exit_function``, so those
 digests cannot see when the executor reports a return.  The §5.3 marked
@@ -38,7 +42,6 @@ import pytest
 from repro import workloads
 from repro.core.literace import LiteRace, run_marked
 from repro.core.samplers import SAMPLER_ORDER
-from repro.eventlog.encode import encode_log
 from repro.eventlog.events import SyncEvent
 from repro.runtime.scheduler import RandomInterleaver, RoundRobinScheduler
 from repro.validate.trace import RecordingScheduler
@@ -54,37 +57,37 @@ POLICIES = {
 
 GOLDEN = {
     "apache-1/TL-Ad/random":
-        "634ea58c98b57dd4f6365071135195196ca8f481cb60cd5a43dbf215394dba3f",
+        "2001689f1702fa105b4aebb22ea35ec7880312b602c482da604852e57477f7e7",
     "apache-1/TL-Ad/round-robin":
-        "2a6fa0ae07d7e7917d3662c1edf1a14c1b476cd28c201efcacbb824691e066c9",
+        "900b8c350f8669bfb2ed20a4d45189ea1d422bf26efeb61f4d4681d0e3d2fb28",
     "apache-1/Full/random":
-        "ae7ef9d1757c32d57bc77080be0b5fd36daad3d1631554caae38fda69c80c136",
+        "3bc0720d864649647c0405e1d85d103037da79196ca7553c321a4d153a2ba01c",
     "apache-1/Full/round-robin":
-        "3d08a4074665aba655b87b24df8d2aa94d40d9f682afd84380bf303f649650d2",
+        "1ffa77ac35020b4d576427f08bc5455c54fdc47eacf46a26a54531a991b4d12f",
     "concrt-scheduling/TL-Ad/random":
-        "516e78bb8cb001e1e47be311751ac5593376f5c15a25543ecf42dd022c8fd2aa",
+        "022ddef031df2cc3d26e130553912a4e96a1bcf050b83101e50ac1c92a64e114",
     "concrt-scheduling/TL-Ad/round-robin":
-        "787ebca80e643739a86f023a231e2424028d10dd84cdf0a168cc60e7a04ee3e8",
+        "349190cbdd9b1f85c04a0db030225356ec5f6aa7d727a6df1ca4c97a99d6eb2d",
     "concrt-scheduling/Full/random":
-        "fe5d29d12f8f1c6dadfbaa3c5521546d8127bcd5998f968b088f9421ee01d027",
+        "528d8439cfe07a62f8a1fd20d0fc7949c14e8b2e3ef5702b8c3ec92676cdcc1f",
     "concrt-scheduling/Full/round-robin":
-        "36b1347bd761040cb2ad2f0448fceaf18e811758ac48a49e057a66b9f47cf525",
+        "f8e9bf7a6dffe2275fd71cbc19b0f17089da81a75dc860e7a2130bf4091a4e06",
     "lkrhash/TL-Ad/random":
-        "07b0d96072c6420054a9f5404a6e07d928457245d13f4087b503d1db3a8c15ae",
+        "4806329d6690a78b207d62725fe33a5cbad326a23d21d57c4afd506ab165edc1",
     "lkrhash/TL-Ad/round-robin":
-        "215ef9542f64ed87f8650dfda0f3fd9496c92e3b66fcc93c51f36e6016d4b855",
+        "42eeafb222477a70353ea3816309fdc4e7c4c4cdfbf82536462545e033c1d54e",
     "lkrhash/Full/random":
-        "22dca810dc82deddb4268be2365beacb393b1a2e908d8621320e88f6f8b113e7",
+        "76ca99daa15e5aaab15fafc51476bd45eecdd6a28aef331b58278c7c079b3de5",
     "lkrhash/Full/round-robin":
-        "9e743fd8be1941d6f46b6063458f59b76ee6e8fa4c30f23130687621879db1b6",
+        "c5d7ee9dfc623c230e1f78422d5cf137135cfeea366e07f903bc37567d230ae1",
     "kv-store/TL-Ad/random":
-        "6ef1b75062a40f49b9c02cde21c5fe3d006572f612eec117a9d869c99297c378",
+        "ededcf9b76f2d6ea49f2da8b91091d8d6692cb8b5ccde0a91a21d4eca2d5358e",
     "kv-store/TL-Ad/round-robin":
-        "dabb3cfd74359f1e8b99894bad6ef47ac096e7389b1db92400d3b013bd580666",
+        "2a5e2d386f6e798e847e24b80a2d5f13d90c177b0003292af0121940719190aa",
     "kv-store/Full/random":
-        "e8a15765ee8653165418733c66d46a157f3453aa40e521a37bd7968dfc104481",
+        "110aede70b265b068a38982a11ce4eb2942a5c05eaef609432fad661a75bbeed",
     "kv-store/Full/round-robin":
-        "664d46be8d055092d64a7b15c62912563ec3dcc97c54b76fc452bec8c6887937",
+        "09c0f32c8dbfe4d365c4d2217b7acedbefb8eb495e8190dfbc29625b020bf25f",
 }
 
 MARKED_GOLDEN = {
@@ -130,14 +133,11 @@ def _event_rows(log) -> list:
 
 
 def profiled(workload: str, sampler: str, scheduler) -> list:
-    """One profiled-and-analyzed execution as bytes: both log formats, then
-    the counters, merge count, log size and report."""
+    """One profiled-and-analyzed execution as bytes: the logged events in
+    global order, then the counters, merge count, log size and report."""
     program = workloads.build(workload, seed=SEED, scale=SCALE)
     result = LiteRace(sampler=sampler, seed=SEED).run(program, scheduler)
-    # Both formats by number, so a new encode_log default moves nothing;
-    # v2 also keeps the global event order, which v1 does not record.
-    return [encode_log(result.log, version=1),
-            encode_log(result.log, version=2),
+    return [json.dumps(_event_rows(result.log)).encode("utf-8"),
             json.dumps([_counters(result.run), result.merge_inconsistencies,
                         result.log_bytes, _report_rows(result.report)],
                        sort_keys=True).encode("utf-8")]

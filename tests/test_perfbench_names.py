@@ -89,5 +89,5 @@ def test_worker_replay_analyzes_each_whole_log(worker_id):
                       segment_event_count(frame))
                      for seq, frame in enumerate(frames)]
         expected.append(("report", worker_id, client_id,
-                         report_to_wire(offline), len(frames)))
+                         report_to_wire(offline)))
     assert messages == expected

@@ -1,4 +1,4 @@
-"""Tests for the v2 segmented wire format (repro.eventlog.segment).
+"""Tests for the segmented wire format (repro.eventlog.segment).
 
 Round-trip fidelity is checked property-style over random event streams —
 with and without zlib — because the telemetry service's exactness argument
@@ -7,6 +7,8 @@ byte-for-byte".
 """
 
 from __future__ import annotations
+
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,20 @@ class TestSegmentValidation:
         with pytest.raises(ValueError, match="truncated"):
             decode_segment(frame[:-1])
 
+    def test_version_2_frame_is_refused(self):
+        # The row layout: one memory event as kind, tid, addr, pc.
+        payload = struct.pack("<BIII", 1, 0, 0x1000, 5)
+        frame = struct.pack("<4sHHII", b"LTRS", 2, 0, 1,
+                            len(payload)) + payload
+        with pytest.raises(ValueError,
+                           match="unsupported segment version 2"):
+            decode_segment(frame)
+        # A segmented file holding it is refused at the same frame.
+        data = struct.pack("<4sHH", b"LTRC", 2, 1) + frame
+        with pytest.raises(ValueError,
+                           match="unsupported segment version 2"):
+            decode_log(data)
+
     def test_v1_encoder_rejects_compression(self):
         with pytest.raises(ValueError, match="version"):
             encode_log(EventLog(), compress=True)
@@ -131,5 +147,5 @@ class TestSegmentValidation:
     def test_v1_files_still_decode(self):
         log = make_log([SyncEvent(0, SyncKind.LOCK, ("mutex", 1), 1, 0),
                         MemoryEvent(0, 64, 2, True)])
-        decoded = decode_log(encode_log(log, version=1))
+        decoded = decode_log(encode_log(log, version=3))
         assert decoded.sync_count == 1 and decoded.memory_count == 1

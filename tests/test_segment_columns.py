@@ -9,7 +9,7 @@ tests pin the contract that makes that safe:
   equals ``decode_segment(...)`` for any stream, compressed or not;
 * detector state is path-independent: columnar ``feed_batch`` over wire
   frames produces byte-identical reports to event-at-a-time ``feed`` —
-  including events that took the v1 (per-thread-section) format detour;
+  including events that took the per-thread file format detour;
 * corrupt payloads **raise** instead of mis-detecting: truncation, trailing
   bytes, bad kind/domain codes, and damaged zlib payloads all fail loudly
   on the columnar path, exactly like the object path.
@@ -129,11 +129,11 @@ class TestDetectorParity:
     @settings(max_examples=25, deadline=None)
     @given(events=racy_streams)
     def test_v1_log_detour_matches(self, events):
-        # Events that travelled through the v1 per-thread-section format
-        # come back grouped by thread; both paths must agree on *that*
-        # stream (the v1 order), proving the columnar ramp handles
-        # in-memory object streams identically to per-event feed.
-        decoded = decode_log(encode_log(make_log(events), version=1))
+        # Events that travelled through the per-thread file format come
+        # back grouped by thread; both paths must agree on *that* stream
+        # (the file order), proving the columnar ramp handles in-memory
+        # object streams identically to per-event feed.
+        decoded = decode_log(encode_log(make_log(events), version=3))
         v1_events = decoded.events
         batched = FlatDetector("hb")
         batched.feed_batch(columns_from_events(v1_events))
@@ -160,7 +160,7 @@ class TestCorruptionRaises:
 
     def test_truncated_event_record(self):
         # Shrink the payload but fix up the header length so only the
-        # per-record bounds check can catch it.
+        # payload's own length check can catch it.
         frame = bytearray(self.frame())
         magic, version, flags, count, payload_len = _SEG_HEADER.unpack_from(
             frame, 0)
@@ -181,8 +181,9 @@ class TestCorruptionRaises:
 
     def test_bad_sync_kind_code(self):
         frame = bytearray(self.frame())
-        # The sync record starts after the header + one memory record.
-        sync_at = _SEG_HEADER.size + 13
+        # The payload opens with the kind column; the sync event is the
+        # second of three.
+        sync_at = _SEG_HEADER.size + 1
         assert frame[sync_at] >= 2
         frame[sync_at] = 0xFF
         with pytest.raises(ValueError, match="kind"):
@@ -190,8 +191,11 @@ class TestCorruptionRaises:
 
     def test_bad_domain_code(self):
         frame = bytearray(self.frame())
-        sync_at = _SEG_HEADER.size + 13
-        frame[sync_at + 1] = 0xEE
+        # The domain column follows three kind bytes and the tid, addr
+        # and pc columns of three u32s each.
+        domain_at = _SEG_HEADER.size + 3 + 3 * 3 * 4
+        assert frame[domain_at] == 0  # the "mutex" domain
+        frame[domain_at] = 0xEE
         with pytest.raises(ValueError, match="domain"):
             decode_segment_columns(bytes(frame))
 
@@ -282,7 +286,7 @@ class TestSegmentBatcher:
         # Poison the middle frame's sync kind code: the header is valid,
         # the payload is not.
         poisoned = bytearray(frames[1])
-        poisoned[_SEG_HEADER.size + 13] = 0xFF
+        poisoned[_SEG_HEADER.size + 1] = 0xFF
         frames[1] = bytes(poisoned)
         batches = []
         batcher = SegmentBatcher(batches.append)

@@ -38,8 +38,8 @@ from repro.detector.merge import merge_thread_logs
 from repro.detector.races import RaceInstance, RaceReport
 from repro.eventlog.events import MemoryEvent, SyncEvent, SyncKind
 from repro.eventlog.log import EventLog
-from repro.eventlog.segment import (decode_segment_columns, encode_segment,
-                                    split_log)
+from repro.eventlog.segment import (SEGMENT_VERSION, decode_segment_columns,
+                                    encode_segment, split_log)
 from repro.service import (
     ProtocolError,
     TelemetryClient,
@@ -829,9 +829,11 @@ class TestRobustness:
         reference = offline_reference(log_a)
         address = f"unix:{short_socket_path()}"
         # flags=1 claims zlib, but the payload does not inflate.
-        bad_zlib = struct.pack("<4sHHII", b"LTRS", 2, 1, 1, 8) + b"!garbage"
+        bad_zlib = struct.pack("<4sHHII", b"LTRS", SEGMENT_VERSION, 1, 1,
+                               8) + b"!garbage"
         # flags=0, claims 2 events, payload too short for even one.
-        truncated = struct.pack("<4sHHII", b"LTRS", 2, 0, 2, 3) + b"\x00" * 3
+        truncated = struct.pack("<4sHHII", b"LTRS", SEGMENT_VERSION, 0, 2,
+                                3) + b"\x00" * 3
         with TelemetryServer([address], workers=1) as server:
             poisoner = TelemetryClient(address).connect()
             poisoner.hello("poison")
@@ -1152,7 +1154,7 @@ class TestWorkerLoop:
         bad = bytearray(encode_segment([
             MemoryEvent(0, 0x10, 1, True),
             SyncEvent(0, SyncKind.LOCK, ("mutex", 1), 1, 2)]))
-        bad[16 + 13] = 0x7F  # the sync record's kind code
+        bad[16 + 1] = 0x7F  # the sync event's code in the kind column
         inbox, outbox = queue.Queue(), queue.Queue()
         for seq, frame in enumerate((good[0], bytes(bad), good[1])):
             inbox.put(("segment", 7, seq, frame))
@@ -1173,7 +1175,7 @@ class TestWorkerLoop:
             ("ack", 3, 7, 0, counts[0]),
             ("error", 3, 7, 1, "bad segment: bad sync kind code 127"),
             ("ack", 3, 7, 2, counts[1]),
-            ("report", 3, 7, report_to_wire(offline.report), 2),
+            ("report", 3, 7, report_to_wire(offline.report)),
         ]
 
     def test_end_of_input_stops_the_worker(self, fleet_logs):
